@@ -1,9 +1,10 @@
 """Walk through the Yau-Zaslow series q/Delta = prod (1-q^k)^(-24).
 
 Its coefficients G_d count rational curves in primitive classes of square
-2d-2 on a K3 surface.  The library computes them with a sigma_1 recurrence;
-here we recompute a prefix with literal geometric-series products and
-compare, then look at how fast the numbers grow.
+2d-2 on a K3 surface.  The library computes them with a power recurrence
+over the pentagonal-number terms of prod (1-q^k); here we recompute a prefix
+with literal geometric-series products and compare, then look at how fast
+the numbers grow.
 """
 
 import time

@@ -11,15 +11,18 @@ Subcommands:
     rotate  hyperkahler rotation of (omega, Omega) by an exact angle
     check   run a named randomized self-check suite
 
-Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage,
-2 bad input (validation, on-wall, series cap), 3 internal consistency
-failure.  Identical invocations produce byte-identical output; every number
-printed is an exact integer or a rational "p/q".
+Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage
+error, or output cut short because the reader closed stdout (as in
+``k3dw ... | head``; the run then exits quietly), 2 bad input (validation,
+unreadable payload, on-wall, series cap), 3 internal consistency failure.
+Identical invocations produce byte-identical output; every number printed is
+an exact integer or a rational "p/q".
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -302,7 +305,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of what
+        # is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as err:
         sys.stderr.write(f"k3dw {args.command}: error: {err}\n")
         return 1

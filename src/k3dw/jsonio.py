@@ -94,13 +94,19 @@ def _check_fields(obj: dict, required: tuple[str, ...], what: str) -> None:
 
 
 def load_payload(source: str):
-    """Parse inline JSON (starts with '{' or '[') or read a JSON file."""
+    """Parse inline JSON (starts with '{' or '[') or read a UTF-8 JSON file.
+
+    Every failure to find, read, decode or parse the payload is a SchemaError.
+    """
     text = source.strip()
     if not text.startswith(("{", "[")):
         path = Path(source)
         if not path.exists():
             raise SchemaError(f"no such file: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise SchemaError(f"cannot read {source}: {err}") from None
     try:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as err:

@@ -1,9 +1,10 @@
 """Slow reference implementations used only by the tests.
 
 Everything here is written straight from the defining formulas with
-different algorithms from the package (polynomial products instead of the
-recurrence, trial division, literal window scans, Sylvester minors instead
-of congruence diagonalization), so agreement is meaningful.
+different algorithms from the package (polynomial products and the sigma_1
+convolution instead of the pentagonal power recurrence, trial division,
+literal window scans, Sylvester minors instead of congruence
+diagonalization), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -29,6 +30,23 @@ def yz_by_product(order):
         for _ in range(24):
             result = poly_mul(result, geometric, order)
     return result
+
+
+def yz_by_sigma(order):
+    """Coefficients of prod_k (1-q^k)^(-24) by the sigma_1 convolution.
+
+    q d/dq log of the product is 24 sum sigma_1(n) q^n, which gives
+    n G_n = 24 sum_{j=1}^{n} sigma_1(j) G_{n-j}.
+    """
+    sigma = [0] * (order + 1)
+    for k in range(1, order + 1):
+        for m in range(k, order + 1, k):
+            sigma[m] += k
+    g = [1]
+    for n in range(1, order + 1):
+        total = 24 * sum(sigma[j] * g[n - j] for j in range(1, n + 1))
+        g.append(total // n)
+    return g
 
 
 def divisor_list(n):

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, worked outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib.metadata import (
@@ -121,6 +122,15 @@ def test_schema_violations_exit_2(capsys):
     assert run(capsys, "closed", "--beta", "[1,2,3]")[0] == 2
     assert run(capsys, "closed", "--beta", "not json at {all")[0] == 2
     assert run(capsys, "closed", "--beta-file", "/nonexistent.json")[0] == 2
+
+
+def test_unreadable_payload_paths_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "closed", "--beta", str(tmp_path))
+    assert code == 2 and "cannot read" in err
+    latin1 = tmp_path / "beta.json"
+    latin1.write_bytes(b'{"schema": "k3dw/1", "note": "\xe9"}')
+    code, _, err = run(capsys, "closed", "--beta-file", str(latin1))
+    assert code == 2 and "cannot read" in err
 
 
 def test_walls_json(capsys):
@@ -389,3 +399,25 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0,1\n1,24\n2,324\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yz", "--max", "3000"],
+        ["check", "--suite", "lattice", "--trials", "50"],
+    ],
+)
+def test_broken_pipe_exits_1_quietly(argv):
+    # the reader is gone before the child writes, as with `| head -c0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3dw.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3dw import SeriesCapError, SeriesTable, ValidationError, yz_coefficient, yz_coefficients
+from k3dw import (
+    ConsistencyError, SeriesCapError, SeriesTable, ValidationError, yz_coefficient,
+    yz_coefficients,
+)
 from k3dw.series import CAP_ENV_VAR
 
-from _oracles import yz_by_product
+from _oracles import yz_by_product, yz_by_sigma
 
 GOLDEN_PREFIX = [1, 24, 324, 3200, 25650, 176256]
 
@@ -29,6 +32,19 @@ def test_frozen_oracle_values():
 
 def test_matches_product_oracle():
     assert yz_coefficients(30) == yz_by_product(30)
+
+
+def test_matches_sigma_convolution():
+    assert SeriesTable().coefficients(2000) == yz_by_sigma(2000)
+
+
+def test_inexact_division_raises_consistency_error():
+    # a corrupted G_1 = 25 makes 2 * G_2 = 673, which is odd; the check must
+    # be an exception, not an assert, so that it survives python -O
+    table = SeriesTable()
+    table._coeffs.append(25)
+    with pytest.raises(ConsistencyError):
+        table.coefficient(2)
 
 
 def test_index_conventions():
