@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import checks, jsonio
 from .arith import divisors
@@ -48,30 +47,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """A resolved job: subcommand, parsed input payloads, output format."""
-
-    command: str
-    inputs: tuple[tuple[str, object], ...]
-    fmt: str | None = None
-    cap: int | None = None
-    seed: int | None = None
-
-
-def _resolve(args, **sources) -> JobSpec:
-    """Load each named source (inline JSON or file path) into a payload."""
-    loaded = tuple(
-        (name, jsonio.load_payload(src)) for name, src in sources.items()
+def _payloads(**sources) -> dict:
+    """Load every given source (inline JSON or file path) before decoding any."""
+    return {
+        name: jsonio.load_payload(src) for name, src in sources.items()
         if src is not None
-    )
-    return JobSpec(
-        command=args.command,
-        inputs=loaded,
-        fmt=getattr(args, "format", None),
-        cap=getattr(args, "cap", None),
-        seed=getattr(args, "seed", None),
-    )
+    }
 
 
 def _emit(line: str) -> None:
@@ -103,29 +84,27 @@ def cmd_closed(args) -> int:
             raise UsageError("--content must be a positive integer")
         value = reduced_gw_profile(args.square, args.content)
     else:
-        job = _resolve(args, beta=args.beta_file or args.beta)
-        beta = jsonio.beta_from_payload(dict(job.inputs)["beta"])
+        source = args.beta if args.beta_file is None else args.beta_file
+        beta = jsonio.beta_from_payload(jsonio.load_payload(source))
         value = reduced_gw(beta)
     _emit(str(jsonio.encode_rational(value)))
     return 0
 
 
-def _load_gamma(job: JobSpec):
-    return jsonio.relative_class_from_payload(dict(job.inputs)["gamma"])
+def _load_gamma(inputs: dict):
+    return jsonio.relative_class_from_payload(inputs["gamma"])
 
 
-def _load_kappa(job: JobSpec, name: str = "kappa"):
-    return jsonio.kahler_from_payload(dict(job.inputs)[name])
+def _load_kappa(inputs: dict, name: str = "kappa"):
+    return jsonio.kahler_from_payload(inputs[name])
 
 
-def _load_period_opt(job: JobSpec):
-    inputs = dict(job.inputs)
+def _load_period_opt(inputs: dict):
     return jsonio.period_from_payload(inputs["period"]) if "period" in inputs else None
 
 
 def cmd_walls(args) -> int:
-    job = _resolve(args, gamma=args.gamma)
-    records = valid_hyperplanes(_load_gamma(job))
+    records = valid_hyperplanes(_load_gamma(_payloads(gamma=args.gamma)))
     if args.format == "csv":
         for r in records:
             _emit(f"{r.k},{r.pairing_with_L},{jsonio.encode_rational(r.closed_invariant)}")
@@ -141,11 +120,11 @@ def cmd_walls(args) -> int:
 
 
 def cmd_open(args) -> int:
-    job = _resolve(args, gamma=args.gamma, kappa=args.kappa, period=args.period)
+    inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
     value = open_invariant(
-        _load_gamma(job),
-        _load_kappa(job),
-        period=_load_period_opt(job),
+        _load_gamma(inputs),
+        _load_kappa(inputs),
+        period=_load_period_opt(inputs),
         allow_nonpositive_boundary=args.allow_nonpositive_boundary,
     )
     _emit(str(jsonio.encode_rational(value)))
@@ -153,15 +132,15 @@ def cmd_open(args) -> int:
 
 
 def cmd_cross(args) -> int:
-    job = _resolve(
-        args, gamma=args.gamma, kappa0=args.kappa_from, kappa1=args.kappa_to,
+    inputs = _payloads(
+        gamma=args.gamma, kappa0=args.kappa_from, kappa1=args.kappa_to,
         period=args.period,
     )
     value = crossing_delta(
-        _load_gamma(job),
-        _load_kappa(job, "kappa0"),
-        _load_kappa(job, "kappa1"),
-        period=_load_period_opt(job),
+        _load_gamma(inputs),
+        _load_kappa(inputs, "kappa0"),
+        _load_kappa(inputs, "kappa1"),
+        period=_load_period_opt(inputs),
         allow_nonpositive_boundary=args.allow_nonpositive_boundary,
     )
     _emit(str(jsonio.encode_rational(value)))
@@ -169,10 +148,10 @@ def cmd_cross(args) -> int:
 
 
 def cmd_bps(args) -> int:
-    job = _resolve(args, gamma=args.gamma, kappa=args.kappa, period=args.period)
-    gamma = _load_gamma(job)
-    kappa = _load_kappa(job)
-    period = _load_period_opt(job)
+    inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
+    gamma = _load_gamma(inputs)
+    kappa = _load_kappa(inputs)
+    period = _load_period_opt(inputs)
     flag = args.allow_nonpositive_boundary
     total = relative_divisibility(gamma)
     values = {
@@ -201,8 +180,7 @@ def cmd_bps(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    job = _resolve(args, omega=args.omega, period=args.period, angle=args.angle)
-    inputs = dict(job.inputs)
+    inputs = _payloads(omega=args.omega, period=args.period, angle=args.angle)
     omega = jsonio.omega_from_payload(inputs["omega"])
     s = jsonio.period_from_payload(inputs["period"])
     theta = jsonio.angle_from_payload(inputs["angle"])

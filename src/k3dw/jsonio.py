@@ -109,7 +109,10 @@ def load_payload(source: str):
             raise SchemaError(f"cannot read {source}: {err}") from None
     try:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as err:
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as err:
+        # also an integer past the int string limit, or nesting too deep
         raise SchemaError(f"invalid JSON: {err}") from None
 
 

@@ -70,6 +70,8 @@ def gram_matrix() -> list[list[int]]:
 
 
 def _normalize_entry(x):
+    if type(x) is int:  # the common case; skips the ABC checks below
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, Integral):

@@ -195,9 +195,10 @@ def valid_liftings(gamma: RelativeClass) -> list[tuple[int, Vector]]:
     if disc < 0:
         return []
     s = isqrt(disc)
+    rc, lc = rep.coords, L.coords
     out = []
     for k in range((b - s) // 2 - 2, (b + s) // 2 + 3):
-        lifting = rep + k * L
+        lifting = Vector(tuple(r + k * l for r, l in zip(rc, lc)))
         c = content(lifting)
         if sq0 + 2 * b * k - 2 * k * k >= -2 * c * c:
             out.append((k, lifting))

@@ -28,18 +28,35 @@ an integer, else a ConsistencyError is raised.
 
 Walls whose lifting pairs to zero with L carry weight zero; they are listed
 (they are genuine boundaries) but never block a chamber evaluation.
+
+Each public call enumerates the valid liftings of gamma once, into a table of
+int rows (k, content, square, pair(L, .)) for rep + k*L, with closed
+invariants memoized per (square, content) profile.  d * (gamma/d)~ runs over
+exactly the liftings of gamma whose content d divides, and validity, the side
+of every kappa and the L-pairing all scale by d.  So gamma/d is read off the
+same table (its rows with d | content, L-pairing, square and content divided
+by d, d^2 and d), and one enumeration serves chamber sum, crossing, both BPS
+routes for every divisor, and the reconstruction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
+from math import gcd
 
 from .arith import divisors, mobius
-from .closed import reduced_gw
+from .closed import reduced_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
-from .relative import RelativeClass, divide, relative_divisibility, valid_liftings
+from .relative import (
+    RelativeClass,
+    _quotient_data,
+    relative_divisibility,
+    valid_liftings,
+)
 from .series import SeriesTable, yz_coefficient
 
 
@@ -103,22 +120,100 @@ def validate_kahler(
     return kappa
 
 
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class _WallTable:
+    """The valid liftings of one class as int rows, from one enumeration.
+
+    The closed invariant of every row is evaluated up front, so a series cap
+    is hit before any chamber is looked at, as when wall records are built.
+    """
+
+    def __init__(self, gamma: RelativeClass, series: SeriesTable | None):
+        rep, L = gamma.representative, gamma.boundary.L
+        sq0, b = square(rep), pair(rep, L)
+        self.rep, self.L, self.series = rep, L, series
+        self.liftings = valid_liftings(gamma)
+        # square(rep + kL) = sq0 + 2bk - 2k^2 and pair(L, rep + kL) = b - 2k
+        self.rows = [
+            (k, gcd(*v.coords), sq0 + 2 * b * k - 2 * k * k, b - 2 * k)
+            for k, v in self.liftings
+        ]
+        self.closed = cache(partial(reduced_gw_profile, table=series))
+        for _, c, sq, _ in self.rows:
+            self.closed(sq, c)
+
+    def signs(self, kappa: KahlerVector, shift: int = 0) -> list[int]:
+        """The sign of pair(kappa, rep + kL) = p + k*q for every row.
+
+        Raises OnWallError with the offsets k + shift of the weight-carrying
+        walls kappa lies on.
+        """
+        p, q = pair(kappa.coords, self.rep), pair(kappa.coords, self.L)
+        # scaled by the positive denominators, so the sums below are ints
+        p, q = p.numerator * q.denominator, q.numerator * p.denominator
+        signs = [_sgn(p + k * q) for k, _, _, _ in self.rows]
+        on = [k + shift for (k, _, _, lp), s in zip(self.rows, signs) if lp and not s]
+        if on:
+            raise OnWallError(on)
+        return signs
+
+    def weighted(self, d: int, factors: list[int]) -> Fraction:
+        """Sum of factor * pair(L, .) * closed invariant over the rows of gamma/d."""
+        dd = d * d
+        weights = Counter()  # per (square, content) profile of gamma/d
+        for (_, c, sq, lp), f in zip(self.rows, factors):
+            if f and lp and c % d == 0:
+                weights[sq // dd, c // d] += f * lp // d
+        return sum(
+            (w * self.closed(*profile) for profile, w in weights.items() if w),
+            Fraction(0),
+        )
+
+    def bps(self, e: int, signs: list[int], divisibility: int) -> int:
+        """bps(gamma/e) by both routes; divisibility is that of gamma."""
+        positive = [s > 0 for s in signs]
+        by_inversion = Fraction(0)
+        for d in divisors(divisibility // e):
+            mu = mobius(d)
+            if mu:
+                by_inversion += Fraction(mu, d * d) * self.weighted(e * d, positive)
+        ee = e * e
+        direct = 0
+        for (_, c, sq, lp), s in zip(self.rows, signs):
+            if lp and s > 0 and c % e == 0 and sq >= -2 * ee:
+                direct += lp // e * yz_coefficient(sq // ee // 2 + 1, table=self.series)
+        if by_inversion != direct or by_inversion.denominator != 1:
+            raise ConsistencyError(
+                "BPS extraction disagrees: Mobius inversion gives "
+                f"{by_inversion}, direct lifting sum gives {direct}"
+            )
+        return int(by_inversion)
+
+
+def _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift=0):
+    """Validate kappa once, then gamma's wall table and kappa's signs in it."""
+    kappa = validate_kahler(
+        kappa,
+        gamma.boundary,
+        period=period,
+        allow_nonpositive_boundary=allow_nonpositive_boundary,
+    )
+    t = _WallTable(gamma, table)
+    return t, t.signs(kappa, shift)
+
+
 def valid_hyperplanes(
     gamma: RelativeClass, *, table: SeriesTable | None = None
 ) -> list[WallRecord]:
     """One WallRecord per valid lifting of gamma, sorted by offset k."""
-    L = gamma.boundary.L
-    records = []
-    for k, lifting in valid_liftings(gamma):
-        records.append(
-            WallRecord(
-                k=k,
-                lifting=lifting,
-                pairing_with_L=pair(L, lifting),
-                closed_invariant=Fraction(reduced_gw(lifting, table=table)),
-            )
-        )
-    return records
+    t = _WallTable(gamma, table)
+    return [
+        WallRecord(k, v, lp, t.closed(sq, c))
+        for (k, c, sq, lp), (_, v) in zip(t.rows, t.liftings)
+    ]
 
 
 def chamber_check(
@@ -163,28 +258,8 @@ def open_invariant(
     table: SeriesTable | None = None,
 ) -> Fraction:
     """Reduced open invariant of gamma in the chamber of kappa."""
-    kappa = validate_kahler(
-        kappa,
-        gamma.boundary,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-    )
-    records = chamber_check(
-        gamma,
-        kappa,
-        period=period,
-        allow_nonpositive_boundary=True,
-        table=table,
-    )
-    total = Fraction(0)
-    for r in records:
-        if r.pairing_with_L and pair(kappa.coords, r.lifting) > 0:
-            total += r.pairing_with_L * r.closed_invariant
-    return total
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
+    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
+    return t.weighted(1, [s > 0 for s in signs])
 
 
 def crossing_delta(
@@ -202,31 +277,15 @@ def crossing_delta(
     * pair(L, gamma~) * reduced_gw(gamma~).  Equals the difference of the two
     chamber sums, and is antisymmetric in its endpoints.
     """
-    records = chamber_check(
-        gamma,
-        kappa0,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-        table=table,
-    )
-    chamber_check(
-        gamma,
+    t, signs0 = _chamber(gamma, kappa0, period, allow_nonpositive_boundary, table)
+    kappa1 = validate_kahler(
         kappa1,
+        gamma.boundary,
         period=period,
         allow_nonpositive_boundary=allow_nonpositive_boundary,
-        table=table,
-        records=records,
     )
-    k0 = _as_kahler(kappa0).coords
-    k1 = _as_kahler(kappa1).coords
-    total = Fraction(0)
-    for r in records:
-        if r.pairing_with_L == 0:
-            continue
-        flip = _sgn(pair(k1, r.lifting)) - _sgn(pair(k0, r.lifting))
-        if flip:
-            total += Fraction(flip, 2) * r.pairing_with_L * r.closed_invariant
-    return total
+    flips = [s1 - s0 for s0, s1 in zip(signs0, t.signs(kappa1))]
+    return t.weighted(1, flips) / 2
 
 
 def bps_invariant(
@@ -246,45 +305,8 @@ def bps_invariant(
     pair(L, gamma~) * G_{square(gamma~)/2 + 1}.  A chamber of gamma is a
     chamber of every gamma/d, so the inner evaluations cannot hit a wall.
     """
-    kappa = validate_kahler(
-        kappa,
-        gamma.boundary,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-    )
-    records = chamber_check(
-        gamma, kappa, period=period, allow_nonpositive_boundary=True, table=table
-    )
-
-    d_total = relative_divisibility(gamma)
-    by_inversion = Fraction(0)
-    for d in divisors(d_total):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        part = open_invariant(
-            divide(gamma, d),
-            kappa,
-            period=period,
-            allow_nonpositive_boundary=True,
-            table=table,
-        )
-        by_inversion += Fraction(mu, d * d) * part
-
-    direct = Fraction(0)
-    for r in records:
-        if r.pairing_with_L == 0 or square(r.lifting) < -2:
-            continue
-        if pair(kappa.coords, r.lifting) > 0:
-            g = yz_coefficient(Fraction(square(r.lifting), 2) + 1, table=table)
-            direct += r.pairing_with_L * g
-
-    if by_inversion != direct or by_inversion.denominator != 1:
-        raise ConsistencyError(
-            "BPS extraction disagrees: Mobius inversion gives "
-            f"{by_inversion}, direct lifting sum gives {direct}"
-        )
-    return int(by_inversion)
+    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
+    return t.bps(1, signs, relative_divisibility(gamma))
 
 
 def multiple_cover_reconstruction(
@@ -296,13 +318,13 @@ def multiple_cover_reconstruction(
     table: SeriesTable | None = None,
 ) -> Fraction:
     """sum_{d | D} d^(-2) * bps(gamma/d, kappa); equals open_invariant."""
+    divisibility = relative_divisibility(gamma)
+    # on-wall offsets count from the representative of divide(gamma, 1), the
+    # class whose walls the d = 1 term has always checked
+    _, urows = _quotient_data(gamma.boundary.L.coords)
+    shift = sum(u * c for u, c in zip(urows[0], gamma.representative.coords))
+    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift)
     total = Fraction(0)
-    for d in divisors(relative_divisibility(gamma)):
-        total += Fraction(1, d * d) * bps_invariant(
-            divide(gamma, d),
-            kappa,
-            period=period,
-            allow_nonpositive_boundary=allow_nonpositive_boundary,
-            table=table,
-        )
+    for d in divisors(divisibility):
+        total += Fraction(t.bps(d, signs, divisibility), d * d)
     return total

@@ -133,6 +133,27 @@ def test_unreadable_payload_paths_exit_2(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" + "9" * 5000 + "]", "[" * 50_000 + "]" * 50_000],
+    ids=["int-past-string-limit", "deep-nesting"],
+)
+def test_unparseable_payloads_exit_2(capsys, tmp_path, text):
+    # json.loads raises ValueError and RecursionError here, not JSONDecodeError
+    payload = tmp_path / "beta.json"
+    payload.write_text(text)
+    for argv in (("--beta-file", str(payload)), ("--beta", text)):
+        code, out, err = run(capsys, "closed", *argv)
+        assert (code, out) == (2, "") and "invalid JSON" in err
+
+
+def test_empty_beta_file_name_is_read_as_a_path(capsys):
+    # "" names the working directory, as with --beta ""
+    for flag in ("--beta-file", "--beta"):
+        code, _, err = run(capsys, "closed", flag, "")
+        assert code == 2 and "cannot read" in err
+
+
 def test_walls_json(capsys):
     code, out, _ = run(capsys, "walls", "--gamma", json.dumps(gamma_payload(2 * E1)))
     assert code == 0

@@ -22,14 +22,19 @@ from k3dw import (
     WallRecord,
     bps_invariant,
     chamber_check,
+    content,
     crossing_delta,
     divide,
     multiple_cover_reconstruction,
     open_invariant,
     relative_divisibility,
+    square,
     valid_hyperplanes,
+    valid_liftings,
     validate_kahler,
+    walls,
 )
+from k3dw.arith import divisors
 from k3dw.sampling import (
     chamber_threshold,
     kahler_in_chamber,
@@ -258,3 +263,85 @@ def test_bps_consistency_guard_is_quiet_on_valid_input():
                 bps_invariant(rel(v), kappa)
     except ConsistencyError as exc:  # pragma: no cover
         pytest.fail(f"consistency guard fired on valid input: {exc}")
+
+
+def test_bps_guard_fires_on_a_corrupted_route_b_series_lookup(monkeypatch):
+    real = walls.yz_coefficient
+    monkeypatch.setattr(walls, "yz_coefficient", lambda n, **kw: real(n, **kw) + 1)
+    with pytest.raises(ConsistencyError, match="gives -1, direct lifting sum gives -2"):
+        bps_invariant(rel(A3), KAPPA_MINUS)
+
+
+def test_bps_guard_fires_on_a_corrupted_route_a_closed_invariant(monkeypatch):
+    real = walls.reduced_gw_profile
+    monkeypatch.setattr(
+        walls, "reduced_gw_profile", lambda sq, c, **kw: real(sq, c, **kw) + 1
+    )
+    with pytest.raises(ConsistencyError, match="gives -2, direct lifting sum gives -1"):
+        bps_invariant(rel(A3), KAPPA_MINUS)
+
+
+def test_one_enumeration_per_public_call(monkeypatch):
+    calls = []
+    real = walls.valid_liftings
+    monkeypatch.setattr(walls, "valid_liftings", lambda g: calls.append(g) or real(g))
+    gamma, k0, k1 = rel(2 * E1), kappa_scanning(-1), kappa_scanning(-3)
+    for evaluate in (
+        lambda: open_invariant(gamma, k0),
+        lambda: crossing_delta(gamma, k0, k1),
+        lambda: bps_invariant(gamma, k0),
+        lambda: multiple_cover_reconstruction(gamma, k0),
+    ):
+        calls.clear()
+        evaluate()
+        assert calls == [gamma]
+
+
+def test_reconstruction_on_wall_offsets_count_from_divide_representative():
+    # [A3] carried by A3 + A1: kappa lies on the wall of the lifting A3, at
+    # k = -1 from this representative and k = 0 from divide(gamma, 1)'s
+    kappa = W + Fraction(-2, 3) * A1 + Fraction(-1, 3) * A3
+    gamma = rel(A3 + A1)
+    assert divide(gamma, 1).representative == A3
+    for evaluate, offsets in (
+        (open_invariant, (-1,)),
+        (bps_invariant, (-1,)),
+        (multiple_cover_reconstruction, (0,)),
+    ):
+        with pytest.raises(OnWallError) as e:
+            evaluate(gamma, kappa)
+        assert e.value.offsets == offsets
+
+
+def sampled_classes(max_order=1200):
+    """One seeded class for each D = 1..6 whose liftings need a low order,
+    with two chambers."""
+    rng = seeded(2)  # every D gets a chamber with a nonzero open invariant
+    for D in range(1, 7):
+        while True:
+            gamma = random_relative_class(rng, random_boundary(rng), divisibility=D)
+            liftings = valid_liftings(gamma)
+            if liftings and max(square(v) // 2 + 1 for _, v in liftings) <= max_order:
+                break
+        kappas = [
+            kahler_in_chamber(rng, gamma, chamber_threshold(rng, gamma))
+            for _ in range(2)
+        ]
+        yield gamma, kappas
+
+
+def test_divisor_views_match_independent_enumeration():
+    for gamma, kappas in sampled_classes():
+        liftings = [v for _, v in valid_liftings(gamma)]
+        subs = {d: divide(gamma, d) for d in divisors(relative_divisibility(gamma))}
+        for d, sub in subs.items():
+            assert [d * r.lifting for r in valid_hyperplanes(sub)] == [
+                v for v in liftings if content(v) % d == 0
+            ]
+        for kappa in kappas:
+            by_views = sum(
+                (Fraction(bps_invariant(sub, kappa), d * d) for d, sub in subs.items()),
+                Fraction(0),
+            )
+            opened = open_invariant(gamma, kappa)
+            assert by_views == multiple_cover_reconstruction(gamma, kappa) == opened
