@@ -26,13 +26,16 @@ import os
 import sys
 
 from . import checks, jsonio
-from .arith import divisors
 from .closed import reduced_gw, reduced_gw_profile
 from .errors import ConsistencyError, K3dwError
 from .periods import rotate as rotate_op
-from .relative import divide, relative_divisibility
 from .series import SeriesTable
-from .walls import bps_invariant, crossing_delta, open_invariant, valid_hyperplanes
+from .walls import (
+    _multiple_cover_terms,
+    crossing_delta,
+    open_invariant,
+    valid_hyperplanes,
+)
 
 
 class UsageError(Exception):
@@ -149,29 +152,18 @@ def cmd_cross(args) -> int:
 
 def cmd_bps(args) -> int:
     inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
-    gamma = _load_gamma(inputs)
-    kappa = _load_kappa(inputs)
-    period = _load_period_opt(inputs)
-    flag = args.allow_nonpositive_boundary
-    total = relative_divisibility(gamma)
-    values = {
-        str(d): bps_invariant(
-            divide(gamma, d),
-            kappa,
-            period=period,
-            allow_nonpositive_boundary=flag,
-        )
-        for d in divisors(total)
-    }
-    open_value = open_invariant(
-        gamma, kappa, period=period, allow_nonpositive_boundary=flag
+    total, values, open_value = _multiple_cover_terms(
+        _load_gamma(inputs),
+        _load_kappa(inputs),
+        _load_period_opt(inputs),
+        args.allow_nonpositive_boundary,
     )
     _emit(
         jsonio.dumps(
             {
                 "schema": jsonio.SCHEMA,
                 "divisibility": total,
-                "bps": values,
+                "bps": {str(d): b for d, b in values.items()},
                 "open_invariant": jsonio.encode_rational(open_value),
             }
         )
@@ -201,6 +193,10 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 0:
+        raise UsageError("--trials must be a nonnegative integer")
+    if args.max_divisibility < 1:
+        raise UsageError("--max-divisibility must be a positive integer")
     report = checks.run_suite(
         args.suite,
         trials=args.trials,

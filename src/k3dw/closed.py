@@ -85,10 +85,5 @@ class ClosedInvariant:
 
     @classmethod
     def of(cls, beta: Vector, *, table: SeriesTable | None = None) -> "ClosedInvariant":
-        if not beta.is_integral:
-            raise ValidationError("curve classes must be integral")
-        m = content(beta)
-        if m == 0:
-            raise ValidationError("the zero class has no reduced invariant")
-        sq = square(beta)
-        return cls(sq, m, reduced_gw_profile(sq, m, table=table))
+        value = reduced_gw(beta, table=table)  # validates beta first
+        return cls(square(beta), content(beta), value)

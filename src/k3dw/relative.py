@@ -19,10 +19,9 @@ gamma in the quotient (the content of any lifting divides D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, isqrt
 
-from .arith import divisors
 from .errors import LatticeError, ValidationError
 from .intlinalg import integer_kernel, rational_kernel_integer_basis
 from .lattice import Vector, _completion, content, pair, square
@@ -49,21 +48,9 @@ class BoundaryClass:
             )
 
 
-@lru_cache(maxsize=128)
-def _quotient_data(l_coords: tuple):
-    """Completion data for L: (basis columns, inverse rows) as Vectors/rows.
-
-    Column 0 of the basis is L itself; the remaining 21 columns project to a
-    basis of the quotient.  Row i of the inverse reads off the coefficient
-    of column i, so rows 1..21 compute quotient coordinates.
-    """
-    cols, urows = _completion(l_coords)
-    basis = [Vector(c) for c in cols]
-    return basis, urows
-
-
 def _quotient_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
-    _, urows = _quotient_data(boundary.L.coords)
+    """Quotient coordinates: rows 1..21 of the inverse of L's completion."""
+    _, urows = _completion(boundary.L.coords)
     return tuple(
         sum(r * c for r, c in zip(row, v.coords)) for row in urows[1:]
     )
@@ -71,12 +58,10 @@ def _quotient_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
 
 def _lift_quotient(qcoords, boundary: BoundaryClass) -> Vector:
     """A representative in the lattice with the given quotient coordinates."""
-    basis, _ = _quotient_data(boundary.L.coords)
-    v = Vector.zero()
-    for c, b in zip(qcoords, basis[1:]):
-        if c:
-            v = v + c * b
-    return v
+    cols, _ = _completion(boundary.L.coords)
+    return Vector(
+        tuple(sum(q * x for q, x in zip(qcoords, row)) for row in zip(*cols[1:]))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +80,7 @@ class RelativeClass:
         if not self.representative.is_integral:
             raise ValidationError("relative classes must have integral representatives")
 
-    @property
+    @cached_property  # reads only the frozen fields, so it never goes stale
     def quotient_coords(self) -> tuple[int, ...]:
         return _quotient_coords(self.representative, self.boundary)
 
@@ -243,18 +228,13 @@ def strongly_primitive(gamma: RelativeClass, period, *, strict: bool = False) ->
         raise ValidationError("period point and class have different boundary classes")
     if gamma.is_zero:
         raise ValidationError("strong primitivity applies to nonzero classes")
-    basis, _ = _quotient_data(gamma.boundary.L.coords)
+    basis = [Vector(c) for c in _completion(gamma.boundary.L.coords)[0][1:]]
     charge_rows = [
-        [pair(b, period.re) for b in basis[1:]],
-        [pair(b, period.im) for b in basis[1:]],
+        [pair(b, period.re) for b in basis],
+        [pair(b, period.im) for b in basis],
     ]
     kernel_rows = rational_kernel_integer_basis(charge_rows)
     result = _strongly_primitive_given_kernel(gamma.quotient_coords, kernel_rows)
     if strict:
         result = result and relative_divisibility(gamma) == 1
     return result
-
-
-def content_divisors(gamma: RelativeClass) -> list[int]:
-    """Divisors of the class divisibility, ascending."""
-    return divisors(relative_divisibility(gamma))

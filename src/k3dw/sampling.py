@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from .errors import ValidationError
 from .intlinalg import rational_kernel_integer_basis, solve
@@ -33,8 +32,7 @@ from .periods import PeriodPoint, UnitAngle
 from .relative import (
     BoundaryClass,
     RelativeClass,
-    _lift_quotient,
-    _quotient_coords,
+    divide,
     relative_divisibility,
     valid_liftings,
 )
@@ -123,9 +121,10 @@ def random_relative_class(
     # resample until the quotient class is nonzero
     while True:
         v = Vector(tuple(rng.randint(-bound, bound) for _ in range(DIM)))
-        qc = _quotient_coords(v, boundary)
-        if any(qc):
+        gamma = RelativeClass(v, boundary)
+        if not gamma.is_zero:
             break
+    primitive = divide(gamma, relative_divisibility(gamma)).representative
     if with_liftings:
         j = rng.randrange(3)
         u = rng.randint(1, bound) * Vector.basis(16 + 2 * j) + rng.randint(
@@ -133,18 +132,10 @@ def random_relative_class(
         ) * Vector.basis(17 + 2 * j)
         target = 2 * rng.randint(0, 6) - 3
         step = 1
-        while True:
-            qc = _quotient_coords(v, boundary)
-            g = gcd(*qc)
-            prim = _lift_quotient(tuple(c // g for c in qc), boundary)
-            b = pair(prim, boundary.L)
-            if 2 * square(prim) + b * b >= target:
-                break
-            v = v + step * u
+        while 2 * square(primitive) + pair(primitive, boundary.L) ** 2 < target:
+            gamma = RelativeClass(gamma.representative + step * u, boundary)
             step *= 2
-    qc = _quotient_coords(v, boundary)
-    g = gcd(*qc)
-    primitive = _lift_quotient(tuple(c // g for c in qc), boundary)
+            primitive = divide(gamma, relative_divisibility(gamma)).representative
     rep = divisibility * primitive
     # random representative shift exercises representative independence
     rep = rep + rng.randint(-2, 2) * boundary.L

@@ -51,12 +51,7 @@ from .arith import divisors, mobius
 from .closed import reduced_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
-from .relative import (
-    RelativeClass,
-    _quotient_data,
-    relative_divisibility,
-    valid_liftings,
-)
+from .relative import RelativeClass, divide, relative_divisibility, valid_liftings
 from .series import SeriesTable, yz_coefficient
 
 
@@ -309,6 +304,18 @@ def bps_invariant(
     return t.bps(1, signs, relative_divisibility(gamma))
 
 
+def _multiple_cover_terms(gamma, kappa, period, allow_nonpositive_boundary, table=None):
+    """(D, {d: bps(gamma/d, kappa) for d | D}, open(gamma, kappa)), one table."""
+    divisibility = relative_divisibility(gamma)
+    # on-wall offsets count from the representative of divide(gamma, 1), the
+    # class whose walls the d = 1 term has always checked
+    rep1 = divide(gamma, 1).representative  # rep - rep1 = shift * L
+    shift = pair(rep1 - gamma.representative, gamma.boundary.L) // 2
+    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift)
+    bps = {d: t.bps(d, signs, divisibility) for d in divisors(divisibility)}
+    return divisibility, bps, t.weighted(1, [s > 0 for s in signs])
+
+
 def multiple_cover_reconstruction(
     gamma: RelativeClass,
     kappa,
@@ -318,13 +325,7 @@ def multiple_cover_reconstruction(
     table: SeriesTable | None = None,
 ) -> Fraction:
     """sum_{d | D} d^(-2) * bps(gamma/d, kappa); equals open_invariant."""
-    divisibility = relative_divisibility(gamma)
-    # on-wall offsets count from the representative of divide(gamma, 1), the
-    # class whose walls the d = 1 term has always checked
-    _, urows = _quotient_data(gamma.boundary.L.coords)
-    shift = sum(u * c for u, c in zip(urows[0], gamma.representative.coords))
-    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift)
-    total = Fraction(0)
-    for d in divisors(divisibility):
-        total += Fraction(t.bps(d, signs, divisibility), d * d)
-    return total
+    _, bps, _ = _multiple_cover_terms(
+        gamma, kappa, period, allow_nonpositive_boundary, table
+    )
+    return sum((Fraction(b, d * d) for d, b in bps.items()), Fraction(0))

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from k3dw import ConsistencyError, Vector
-from k3dw import cli
+from k3dw import Vector
+from k3dw import cli, walls
 from k3dw.cli import main
 
 A1, A3 = Vector.basis(0), Vector.basis(2)
@@ -321,8 +321,28 @@ def test_check_suite(capsys):
     assert report["passed"] is True
     assert report["suite"] == "series-oracle"
     assert report["failure_count"] == 0
+    code, out, _ = run(capsys, "check", "--suite", "reality", "--trials", "0")
+    assert code == 0 and json.loads(out)["trials"] == 0
     code, _, _ = run(capsys, "check", "--suite", "no-such-suite")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--suite", "integrality", "--max-divisibility", "0", "--trials", "2"],
+            "--max-divisibility must be a positive integer",
+        ),
+        (
+            ["--suite", "reality", "--trials", "-3"],
+            "--trials must be a nonnegative integer",
+        ),
+    ],
+    ids=["max-divisibility-0", "negative-trials"],
+)
+def test_check_flag_ranges_exit_1(capsys, argv, message):
+    assert run(capsys, "check", *argv) == (1, "", f"k3dw check: error: {message}\n")
 
 
 def test_usage_exit_codes(capsys):
@@ -332,10 +352,9 @@ def test_usage_exit_codes(capsys):
 
 
 def test_consistency_failures_exit_3(capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise ConsistencyError("forced disagreement")
-
-    monkeypatch.setattr(cli, "bps_invariant", boom)
+    # route (b) of the BPS extraction reads every series value one too high
+    real = walls.yz_coefficient
+    monkeypatch.setattr(walls, "yz_coefficient", lambda n, **kw: real(n, **kw) + 1)
     code, _, err = run(
         capsys,
         "bps",

@@ -107,3 +107,7 @@ def test_input_validation():
 def test_closed_invariant_record():
     inv = ClosedInvariant.of(2 * A3)
     assert (inv.beta_square, inv.divisibility, inv.value) == (-8, 2, Fraction(1, 8))
+    with pytest.raises(ValidationError, match="^curve classes must be integral$"):
+        ClosedInvariant.of(Fraction(1, 2) * A1)
+    with pytest.raises(ValidationError, match="^the zero class has no reduced invariant$"):
+        ClosedInvariant.of(Vector.zero())

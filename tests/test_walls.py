@@ -22,11 +22,14 @@ from k3dw import (
     WallRecord,
     bps_invariant,
     chamber_check,
+    cli,
     content,
     crossing_delta,
     divide,
+    jsonio,
     multiple_cover_reconstruction,
     open_invariant,
+    relative,
     relative_divisibility,
     square,
     valid_hyperplanes,
@@ -281,6 +284,19 @@ def test_bps_guard_fires_on_a_corrupted_route_a_closed_invariant(monkeypatch):
         bps_invariant(rel(A3), KAPPA_MINUS)
 
 
+def bps_cli(gamma, kappa):
+    """Exit code of `k3dw bps` on gamma and kappa given inline."""
+    return cli.main(
+        [
+            "bps",
+            "--gamma",
+            jsonio.dumps(jsonio.relative_class_to_payload(gamma)),
+            "--kappa",
+            jsonio.dumps(jsonio.kahler_to_payload(KahlerVector(kappa))),
+        ]
+    )
+
+
 def test_one_enumeration_per_public_call(monkeypatch):
     calls = []
     real = walls.valid_liftings
@@ -291,13 +307,26 @@ def test_one_enumeration_per_public_call(monkeypatch):
         lambda: crossing_delta(gamma, k0, k1),
         lambda: bps_invariant(gamma, k0),
         lambda: multiple_cover_reconstruction(gamma, k0),
+        lambda: bps_cli(gamma, k0),
     ):
         calls.clear()
         evaluate()
         assert calls == [gamma]
 
 
-def test_reconstruction_on_wall_offsets_count_from_divide_representative():
+def test_one_quotient_walk_per_fresh_class(monkeypatch):
+    calls = []
+    real = relative._quotient_coords
+    monkeypatch.setattr(
+        relative, "_quotient_coords", lambda v, b: calls.append(v) or real(v, b)
+    )
+    for evaluate in (bps_invariant, multiple_cover_reconstruction):
+        calls.clear()
+        evaluate(rel(2 * E1), kappa_scanning(-1))
+        assert calls == [2 * E1]
+
+
+def test_reconstruction_on_wall_offsets_count_from_divide_representative(capsys):
     # [A3] carried by A3 + A1: kappa lies on the wall of the lifting A3, at
     # k = -1 from this representative and k = 0 from divide(gamma, 1)'s
     kappa = W + Fraction(-2, 3) * A1 + Fraction(-1, 3) * A3
@@ -311,6 +340,8 @@ def test_reconstruction_on_wall_offsets_count_from_divide_representative():
         with pytest.raises(OnWallError) as e:
             evaluate(gamma, kappa)
         assert e.value.offsets == offsets
+    assert bps_cli(gamma, kappa) == 2
+    assert "wall(s) at k=[0]" in capsys.readouterr().err
 
 
 def sampled_classes(max_order=1200):
