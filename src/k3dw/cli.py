@@ -27,7 +27,7 @@ import sys
 
 from . import checks, jsonio
 from .closed import reduced_gw, reduced_gw_profile
-from .errors import ConsistencyError, K3dwError
+from .errors import ConsistencyError, K3dwError, ValidationError
 from .periods import rotate as rotate_op
 from .series import SeriesTable
 from .walls import (
@@ -85,6 +85,11 @@ def cmd_closed(args) -> int:
             raise UsageError("--square needs --content")
         if args.content < 1:
             raise UsageError("--content must be a positive integer")
+        if args.square % (2 * args.content**2):
+            raise ValidationError(
+                f"no class of content {args.content} has square {args.square}: "
+                "a class of content m has square divisible by 2*m^2"
+            )
         value = reduced_gw_profile(args.square, args.content)
     else:
         source = args.beta if args.beta_file is None else args.beta_file

@@ -13,7 +13,9 @@ its primitive reduction satisfies the rational-curve bound:
 
 Only finitely many liftings are valid: the left side is a downward parabola
 in k while the right side is bounded below by -2*D^2, D the divisibility of
-gamma in the quotient (the content of any lifting divides D).
+gamma in the quotient.  In L's completion basis rep + k*L has coordinates
+(x0 + k, quotient coordinates), so its content is gcd(D, x0 + k), a divisor
+of D, and the lifting rows are ints, with no Vector per candidate.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ class BoundaryClass:
             )
 
 
-def _quotient_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
-    """Quotient coordinates: rows 1..21 of the inverse of L's completion."""
+def _completion_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
+    """(x0, quotient coordinates): the inverse of L's completion applied to v."""
     _, urows = _completion(boundary.L.coords)
-    return tuple(
-        sum(r * c for r, c in zip(row, v.coords)) for row in urows[1:]
-    )
+    return tuple(sum(r * c for r, c in zip(row, v.coords)) for row in urows)
 
 
 def _lift_quotient(qcoords, boundary: BoundaryClass) -> Vector:
@@ -81,15 +81,20 @@ class RelativeClass:
             raise ValidationError("relative classes must have integral representatives")
 
     @cached_property  # reads only the frozen fields, so it never goes stale
+    def completion_coords(self) -> tuple[int, ...]:
+        return _completion_coords(self.representative, self.boundary)
+
+    @cached_property
     def quotient_coords(self) -> tuple[int, ...]:
-        return _quotient_coords(self.representative, self.boundary)
+        return self.completion_coords[1:]
 
     @property
     def is_zero(self) -> bool:
         return not any(self.quotient_coords)
 
     def lifting(self, k: int) -> Vector:
-        return self.representative + k * self.boundary.L
+        rep, L = self.representative.coords, self.boundary.L.coords
+        return Vector(tuple(r + k * x for r, x in zip(rep, L)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelativeClass):
@@ -162,32 +167,33 @@ def divide(gamma: RelativeClass, d: int) -> RelativeClass:
     )
 
 
-def valid_liftings(gamma: RelativeClass) -> list[tuple[int, Vector]]:
-    """All liftings gamma~ = representative + k*L passing the curve bound.
+def _lifting_rows(gamma: RelativeClass) -> list[tuple[int, int, int, int]]:
+    """(k, content, square, pair(L, .)) of each valid lifting rep + k*L, by k.
 
-    Returns (k, lifting) pairs sorted by k.  The window of candidate k comes
-    from an integer square root of the discriminant b^2 + 2*square(rep) +
-    4*D^2 (b the L-pairing of the representative, D the divisibility); each
-    candidate is then tested against the exact inequality, so the bound only
-    needs to be safe, not sharp.
+    Candidates k span an integer-square-root window of b^2 + 2*square(rep) +
+    4*D^2 (b = pair(rep, L), D the divisibility) and each is tested exactly,
+    so the window only needs to be safe, not sharp.
     """
     rep = gamma.representative
-    L = gamma.boundary.L
     D = relative_divisibility(gamma)
+    x0 = gamma.completion_coords[0]
     sq0 = square(rep)
-    b = pair(rep, L)
+    b = pair(rep, gamma.boundary.L)
     disc = b * b + 2 * sq0 + 4 * D * D
     if disc < 0:
         return []
     s = isqrt(disc)
-    rc, lc = rep.coords, L.coords
-    out = []
+    rows = []
     for k in range((b - s) // 2 - 2, (b + s) // 2 + 3):
-        lifting = Vector(tuple(r + k * l for r, l in zip(rc, lc)))
-        c = content(lifting)
-        if sq0 + 2 * b * k - 2 * k * k >= -2 * c * c:
-            out.append((k, lifting))
-    return out
+        c, sq = gcd(D, x0 + k), sq0 + 2 * b * k - 2 * k * k
+        if sq >= -2 * c * c:
+            rows.append((k, c, sq, b - 2 * k))
+    return rows
+
+
+def valid_liftings(gamma: RelativeClass) -> list[tuple[int, Vector]]:
+    """(k, representative + k*L) for every valid lifting, sorted by k."""
+    return [(k, gamma.lifting(k)) for k, _, _, _ in _lifting_rows(gamma)]
 
 
 def _strongly_primitive_given_kernel(qgamma, kernel_rows) -> bool:

@@ -29,14 +29,14 @@ an integer, else a ConsistencyError is raised.
 Walls whose lifting pairs to zero with L carry weight zero; they are listed
 (they are genuine boundaries) but never block a chamber evaluation.
 
-Each public call enumerates the valid liftings of gamma once, into a table of
-int rows (k, content, square, pair(L, .)) for rep + k*L, with closed
-invariants memoized per (square, content) profile.  d * (gamma/d)~ runs over
-exactly the liftings of gamma whose content d divides, and validity, the side
-of every kappa and the L-pairing all scale by d.  So gamma/d is read off the
-same table (its rows with d | content, L-pairing, square and content divided
-by d, d^2 and d), and one enumeration serves chamber sum, crossing, both BPS
-routes for every divisor, and the reconstruction.
+Each public call reads gamma's valid liftings once, as relative._lifting_rows'
+int rows (k, content = gcd(D, x0 + k), square, pair(L, .)) of rep + k*L, with
+closed invariants memoized per profile.  d * (gamma/d)~ runs over exactly the
+liftings of gamma whose content d divides, and validity, the side of every
+kappa and the L-pairing all scale by d.  So gamma/d is read off the same table
+(its rows with d | content, L-pairing, square and content divided by d, d^2
+and d), and one table serves chamber sum, crossing, both BPS routes for every
+divisor, and the reconstruction.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import gcd
 
 from .arith import divisors, mobius
 from .closed import reduced_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
-from .relative import RelativeClass, divide, relative_divisibility, valid_liftings
+from .relative import RelativeClass, _lifting_rows, relative_divisibility
 from .series import SeriesTable, yz_coefficient
 
 
@@ -115,10 +114,6 @@ def validate_kahler(
     return kappa
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 class _WallTable:
     """The valid liftings of one class as int rows, from one enumeration.
 
@@ -127,33 +122,26 @@ class _WallTable:
     """
 
     def __init__(self, gamma: RelativeClass, series: SeriesTable | None):
-        rep, L = gamma.representative, gamma.boundary.L
-        sq0, b = square(rep), pair(rep, L)
-        self.rep, self.L, self.series = rep, L, series
-        self.liftings = valid_liftings(gamma)
-        # square(rep + kL) = sq0 + 2bk - 2k^2 and pair(L, rep + kL) = b - 2k
-        self.rows = [
-            (k, gcd(*v.coords), sq0 + 2 * b * k - 2 * k * k, b - 2 * k)
-            for k, v in self.liftings
-        ]
+        self.rep, self.L, self.series = gamma.representative, gamma.boundary.L, series
+        self.rows = _lifting_rows(gamma)
         self.closed = cache(partial(reduced_gw_profile, table=series))
         for _, c, sq, _ in self.rows:
             self.closed(sq, c)
 
-    def signs(self, kappa: KahlerVector, shift: int = 0) -> list[int]:
-        """The sign of pair(kappa, rep + kL) = p + k*q for every row.
+    def signs(self, kappa: KahlerVector, shift: int = 0) -> list[bool]:
+        """Whether pair(kappa, rep + kL) = p + k*q > 0, for every row.
 
         Raises OnWallError with the offsets k + shift of the weight-carrying
         walls kappa lies on.
         """
         p, q = pair(kappa.coords, self.rep), pair(kappa.coords, self.L)
-        # scaled by the positive denominators, so the sums below are ints
+        # scaled by the positive denominators, so the values below are ints
         p, q = p.numerator * q.denominator, q.numerator * p.denominator
-        signs = [_sgn(p + k * q) for k, _, _, _ in self.rows]
-        on = [k + shift for (k, _, _, lp), s in zip(self.rows, signs) if lp and not s]
+        values = [p + k * q for k, _, _, _ in self.rows]
+        on = [k + shift for (k, _, _, lp), v in zip(self.rows, values) if lp and not v]
         if on:
             raise OnWallError(on)
-        return signs
+        return [v > 0 for v in values]
 
     def weighted(self, d: int, factors: list[int]) -> Fraction:
         """Sum of factor * pair(L, .) * closed invariant over the rows of gamma/d."""
@@ -167,18 +155,20 @@ class _WallTable:
             Fraction(0),
         )
 
-    def bps(self, e: int, signs: list[int], divisibility: int) -> int:
-        """bps(gamma/e) by both routes; divisibility is that of gamma."""
-        positive = [s > 0 for s in signs]
+    def bps(self, e: int, positive: list[bool], D: int, opens: dict) -> int:
+        """bps(gamma/e) by both routes, D gamma's divisibility; opens[d] memoizes
+        route (a)'s chamber sum open(gamma/d) across the caller's divisors."""
         by_inversion = Fraction(0)
-        for d in divisors(divisibility // e):
+        for d in divisors(D // e):
             mu = mobius(d)
             if mu:
-                by_inversion += Fraction(mu, d * d) * self.weighted(e * d, positive)
+                if e * d not in opens:
+                    opens[e * d] = self.weighted(e * d, positive)
+                by_inversion += Fraction(mu, d * d) * opens[e * d]
         ee = e * e
         direct = 0
-        for (_, c, sq, lp), s in zip(self.rows, signs):
-            if lp and s > 0 and c % e == 0 and sq >= -2 * ee:
+        for (_, c, sq, lp), p in zip(self.rows, positive):
+            if lp and p and c % e == 0 and sq >= -2 * ee:
                 direct += lp // e * yz_coefficient(sq // ee // 2 + 1, table=self.series)
         if by_inversion != direct or by_inversion.denominator != 1:
             raise ConsistencyError(
@@ -189,7 +179,7 @@ class _WallTable:
 
 
 def _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift=0):
-    """Validate kappa once, then gamma's wall table and kappa's signs in it."""
+    """Validate kappa once, then gamma's wall table and kappa's flags in it."""
     kappa = validate_kahler(
         kappa,
         gamma.boundary,
@@ -206,8 +196,7 @@ def valid_hyperplanes(
     """One WallRecord per valid lifting of gamma, sorted by offset k."""
     t = _WallTable(gamma, table)
     return [
-        WallRecord(k, v, lp, t.closed(sq, c))
-        for (k, c, sq, lp), (_, v) in zip(t.rows, t.liftings)
+        WallRecord(k, gamma.lifting(k), lp, t.closed(sq, c)) for k, c, sq, lp in t.rows
     ]
 
 
@@ -253,8 +242,8 @@ def open_invariant(
     table: SeriesTable | None = None,
 ) -> Fraction:
     """Reduced open invariant of gamma in the chamber of kappa."""
-    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
-    return t.weighted(1, [s > 0 for s in signs])
+    t, positive = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
+    return t.weighted(1, positive)
 
 
 def crossing_delta(
@@ -272,15 +261,16 @@ def crossing_delta(
     * pair(L, gamma~) * reduced_gw(gamma~).  Equals the difference of the two
     chamber sums, and is antisymmetric in its endpoints.
     """
-    t, signs0 = _chamber(gamma, kappa0, period, allow_nonpositive_boundary, table)
+    t, positive0 = _chamber(gamma, kappa0, period, allow_nonpositive_boundary, table)
     kappa1 = validate_kahler(
         kappa1,
         gamma.boundary,
         period=period,
         allow_nonpositive_boundary=allow_nonpositive_boundary,
     )
-    flips = [s1 - s0 for s0, s1 in zip(signs0, t.signs(kappa1))]
-    return t.weighted(1, flips) / 2
+    # a weight-carrying row is on neither wall, so (sgn1 - sgn0) / 2 = p1 - p0
+    flips = [p1 - p0 for p0, p1 in zip(positive0, t.signs(kappa1))]
+    return t.weighted(1, flips)
 
 
 def bps_invariant(
@@ -300,20 +290,19 @@ def bps_invariant(
     pair(L, gamma~) * G_{square(gamma~)/2 + 1}.  A chamber of gamma is a
     chamber of every gamma/d, so the inner evaluations cannot hit a wall.
     """
-    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
-    return t.bps(1, signs, relative_divisibility(gamma))
+    t, positive = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
+    return t.bps(1, positive, relative_divisibility(gamma), {})
 
 
 def _multiple_cover_terms(gamma, kappa, period, allow_nonpositive_boundary, table=None):
     """(D, {d: bps(gamma/d, kappa) for d | D}, open(gamma, kappa)), one table."""
-    divisibility = relative_divisibility(gamma)
-    # on-wall offsets count from the representative of divide(gamma, 1), the
-    # class whose walls the d = 1 term has always checked
-    rep1 = divide(gamma, 1).representative  # rep - rep1 = shift * L
-    shift = pair(rep1 - gamma.representative, gamma.boundary.L) // 2
-    t, signs = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift)
-    bps = {d: t.bps(d, signs, divisibility) for d in divisors(divisibility)}
-    return divisibility, bps, t.weighted(1, [s > 0 for s in signs])
+    D = relative_divisibility(gamma)
+    # on-wall offsets count from divide(gamma, 1)'s representative, rep - x0*L
+    x0 = gamma.completion_coords[0]
+    t, positive = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, x0)
+    opens = {}  # route (a)'s chamber sums, shared by every divisor
+    bps = {d: t.bps(d, positive, D, opens) for d in divisors(D)}
+    return D, bps, opens[1]
 
 
 def multiple_cover_reconstruction(

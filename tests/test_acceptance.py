@@ -28,7 +28,8 @@ from k3dw import (
     yz_coefficient,
 )
 from k3dw.intlinalg import det, symmetric_signature
-from k3dw.lattice import gram_matrix
+from k3dw.lattice import content, gram_matrix
+from k3dw.relative import _lifting_rows
 from k3dw.sampling import (
     chamber_threshold,
     kahler_in_chamber,
@@ -215,11 +216,14 @@ def test_lifting_enumeration_matches_brute_force():
         gamma = random_relative_class(
             rng,
             boundary,
-            divisibility=rng.randint(1, 3),
+            divisibility=rng.randint(1, 6),
             with_liftings=(i % 3 != 0),
         )
         expected = brute_force_liftings(gamma, window=200)
         assert valid_liftings(gamma) == expected
+        assert _lifting_rows(gamma) == [
+            (k, content(v), square(v), pair(boundary.L, v)) for k, v in expected
+        ]
         empties += not expected
     assert 0 < empties < 100  # both populated and empty sets were exercised
     print(f"PASS liftings: quadratic window equals |k| <= 200 brute force "

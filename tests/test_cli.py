@@ -87,6 +87,11 @@ def test_closed_profile(capsys):
         0,
         "1/8\n",
     )
+    # a class of content m has square divisible by 2*m^2
+    for square, content in (("1", "1"), ("-3", "2")):
+        code, out, err = run(capsys, "closed", "--square", square, "--content", content)
+        assert (code, out) == (2, "")
+        assert f"no class of content {content} has square {square}" in err
 
 
 def test_closed_beta_sources(capsys, tmp_path):

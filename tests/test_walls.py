@@ -299,8 +299,8 @@ def bps_cli(gamma, kappa):
 
 def test_one_enumeration_per_public_call(monkeypatch):
     calls = []
-    real = walls.valid_liftings
-    monkeypatch.setattr(walls, "valid_liftings", lambda g: calls.append(g) or real(g))
+    real = walls._lifting_rows
+    monkeypatch.setattr(walls, "_lifting_rows", lambda g: calls.append(g) or real(g))
     gamma, k0, k1 = rel(2 * E1), kappa_scanning(-1), kappa_scanning(-3)
     for evaluate in (
         lambda: open_invariant(gamma, k0),
@@ -312,18 +312,50 @@ def test_one_enumeration_per_public_call(monkeypatch):
         calls.clear()
         evaluate()
         assert calls == [gamma]
+    # the rows are ints: no Vector is built for a fresh class
+    built = []
+    real_init = Vector.__init__
+    monkeypatch.setattr(
+        Vector, "__init__", lambda v, c: built.append(c) or real_init(v, c)
+    )
+    for evaluate in (
+        lambda g: open_invariant(g, k0),
+        lambda g: crossing_delta(g, k0, k1),
+        lambda g: bps_invariant(g, k0),
+        lambda g: multiple_cover_reconstruction(g, k0),
+    ):
+        fresh = rel(2 * E1)
+        built.clear()
+        evaluate(fresh)
+        assert built == []
 
 
 def test_one_quotient_walk_per_fresh_class(monkeypatch):
     calls = []
-    real = relative._quotient_coords
+    real = relative._completion_coords
     monkeypatch.setattr(
-        relative, "_quotient_coords", lambda v, b: calls.append(v) or real(v, b)
+        relative, "_completion_coords", lambda v, b: calls.append(v) or real(v, b)
     )
     for evaluate in (bps_invariant, multiple_cover_reconstruction):
         calls.clear()
         evaluate(rel(2 * E1), kappa_scanning(-1))
         assert calls == [2 * E1]
+
+
+def test_one_route_a_scan_per_distinct_divisor(monkeypatch):
+    rng = seeded(2)
+    gamma = random_relative_class(rng, random_boundary(rng), divisibility=6)
+    kappa = kahler_in_chamber(rng, gamma, chamber_threshold(rng, gamma)).coords
+    scans = []
+    real = walls._WallTable.weighted
+    monkeypatch.setattr(
+        walls._WallTable, "weighted", lambda t, d, f: scans.append(d) or real(t, d, f)
+    )
+    multiple_cover_reconstruction(gamma, kappa)
+    assert sorted(scans) == [1, 2, 3, 6]
+    scans.clear()
+    assert bps_cli(gamma, kappa) == 0
+    assert sorted(scans) == [1, 2, 3, 6]
 
 
 def test_reconstruction_on_wall_offsets_count_from_divide_representative(capsys):
