@@ -90,21 +90,26 @@ def _suite_series_oracle(rng, trials: int, failures: list[str], order: int = 32,
         failures.append(f"leading coefficients are {fast[:6]}")
 
 
-def _random_instance(rng, max_divisibility: int):
+def _random_instance(rng, max_divisibility: int, chambers: int):
+    """A class gamma and one Kahler class in each of `chambers` drawn chambers."""
     boundary = sampling.random_boundary(rng)
     div = rng.randint(1, max_divisibility)
     gamma = sampling.random_relative_class(rng, boundary, divisibility=div)
-    threshold = sampling.chamber_threshold(rng, gamma)
-    sign = rng.choice((1, -1))
-    kappa = sampling.kahler_in_chamber(
-        rng, gamma, threshold, boundary_pairing=sign * rng.randint(1, 3)
-    )
-    return gamma, kappa
+    kappas = [
+        sampling.kahler_in_chamber(
+            rng,
+            gamma,
+            sampling.chamber_threshold(rng, gamma),
+            boundary_pairing=rng.choice((1, -1)) * rng.randint(1, 3),
+        )
+        for _ in range(chambers)
+    ]
+    return gamma, kappas
 
 
-def _suite_reality(rng, trials: int, failures: list[str], max_divisibility: int = 2, **_):
+def _suite_reality(rng, trials: int, failures: list[str], max_divisibility: int, **_):
     for _ in range(trials):
-        gamma, kappa = _random_instance(rng, max_divisibility)
+        gamma, (kappa,) = _random_instance(rng, max_divisibility, 1)
         plus = open_invariant(gamma, kappa, allow_nonpositive_boundary=True)
         minus = open_invariant(-gamma, kappa, allow_nonpositive_boundary=True)
         if plus != minus:
@@ -115,10 +120,10 @@ def _suite_reality(rng, trials: int, failures: list[str], max_divisibility: int 
 
 
 def _suite_integrality(
-    rng, trials: int, failures: list[str], max_divisibility: int = 3, **_
+    rng, trials: int, failures: list[str], max_divisibility: int, **_
 ):
     for _ in range(trials):
-        gamma, kappa = _random_instance(rng, max_divisibility)
+        gamma, (kappa,) = _random_instance(rng, max_divisibility, 1)
         try:
             bps = bps_invariant(gamma, kappa, allow_nonpositive_boundary=True)
         except K3dwError as err:
@@ -137,21 +142,10 @@ def _suite_integrality(
 
 
 def _suite_path_independence(
-    rng, trials: int, failures: list[str], max_divisibility: int = 3, **_
+    rng, trials: int, failures: list[str], max_divisibility: int, **_
 ):
     for _ in range(trials):
-        boundary = sampling.random_boundary(rng)
-        div = rng.randint(1, max_divisibility)
-        gamma = sampling.random_relative_class(rng, boundary, divisibility=div)
-        kappas = [
-            sampling.kahler_in_chamber(
-                rng,
-                gamma,
-                sampling.chamber_threshold(rng, gamma),
-                boundary_pairing=rng.choice((1, -1)) * rng.randint(1, 3),
-            )
-            for _ in range(3)
-        ]
+        gamma, kappas = _random_instance(rng, max_divisibility, 3)
         d01 = crossing_delta(gamma, kappas[0], kappas[1], allow_nonpositive_boundary=True)
         d12 = crossing_delta(gamma, kappas[1], kappas[2], allow_nonpositive_boundary=True)
         d02 = crossing_delta(gamma, kappas[0], kappas[2], allow_nonpositive_boundary=True)
@@ -219,11 +213,10 @@ def run_suite(
     max_divisibility: int = 3,
 ) -> dict:
     """Run one named suite; returns a JSON-ready report dict."""
-    if name not in _SUITES:
-        raise KeyError(name)
+    suite = _SUITES[name]
     rng = sampling.seeded(seed)
     failures: list[str] = []
-    _SUITES[name](rng, trials, failures, max_divisibility=max_divisibility)
+    suite(rng, trials, failures, max_divisibility=max_divisibility)
     return {
         "schema": "k3dw/1",
         "suite": name,

@@ -99,20 +99,13 @@ def cmd_closed(args) -> int:
     return 0
 
 
-def _load_gamma(inputs: dict):
-    return jsonio.relative_class_from_payload(inputs["gamma"])
-
-
-def _load_kappa(inputs: dict, name: str = "kappa"):
-    return jsonio.kahler_from_payload(inputs[name])
-
-
 def _load_period_opt(inputs: dict):
     return jsonio.period_from_payload(inputs["period"]) if "period" in inputs else None
 
 
 def cmd_walls(args) -> int:
-    records = valid_hyperplanes(_load_gamma(_payloads(gamma=args.gamma)))
+    inputs = _payloads(gamma=args.gamma)
+    records = valid_hyperplanes(jsonio.relative_class_from_payload(inputs["gamma"]))
     if args.format == "csv":
         for r in records:
             _emit(f"{r.k},{r.pairing_with_L},{jsonio.encode_rational(r.closed_invariant)}")
@@ -130,8 +123,8 @@ def cmd_walls(args) -> int:
 def cmd_open(args) -> int:
     inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
     value = open_invariant(
-        _load_gamma(inputs),
-        _load_kappa(inputs),
+        jsonio.relative_class_from_payload(inputs["gamma"]),
+        jsonio.kahler_from_payload(inputs["kappa"]),
         period=_load_period_opt(inputs),
         allow_nonpositive_boundary=args.allow_nonpositive_boundary,
     )
@@ -145,9 +138,9 @@ def cmd_cross(args) -> int:
         period=args.period,
     )
     value = crossing_delta(
-        _load_gamma(inputs),
-        _load_kappa(inputs, "kappa0"),
-        _load_kappa(inputs, "kappa1"),
+        jsonio.relative_class_from_payload(inputs["gamma"]),
+        jsonio.kahler_from_payload(inputs["kappa0"]),
+        jsonio.kahler_from_payload(inputs["kappa1"]),
         period=_load_period_opt(inputs),
         allow_nonpositive_boundary=args.allow_nonpositive_boundary,
     )
@@ -158,8 +151,8 @@ def cmd_cross(args) -> int:
 def cmd_bps(args) -> int:
     inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
     total, values, open_value = _multiple_cover_terms(
-        _load_gamma(inputs),
-        _load_kappa(inputs),
+        jsonio.relative_class_from_payload(inputs["gamma"]),
+        jsonio.kahler_from_payload(inputs["kappa"]),
         _load_period_opt(inputs),
         args.allow_nonpositive_boundary,
     )
@@ -229,10 +222,9 @@ def build_parser() -> _Parser:
     p.add_argument("--content", type=int, help="divisibility of the class")
     p.set_defaults(func=cmd_closed)
 
-    def relative_flags(p, kappa: bool = True):
+    def relative_flags(p):
         p.add_argument("--gamma", required=True, help="relative class (file or JSON)")
-        if kappa:
-            p.add_argument("--kappa", required=True, help="Kahler class (file or JSON)")
+        p.add_argument("--kappa", required=True, help="Kahler class (file or JSON)")
         p.add_argument("--period", default=None, help="optional period point")
         p.add_argument(
             "--allow-nonpositive-boundary",

@@ -125,12 +125,9 @@ class Vector:
     def __neg__(self) -> "Vector":
         return Vector(tuple(-a for a in self.coords))
 
-    def _scaled(self, c) -> "Vector":
+    def __mul__(self, c) -> "Vector":
         c = _normalize_entry(c)
         return Vector(tuple(c * a for a in self.coords))
-
-    def __mul__(self, c) -> "Vector":
-        return self._scaled(c)
 
     __rmul__ = __mul__
 

@@ -28,8 +28,6 @@ from .errors import LatticeError, ValidationError
 from .intlinalg import integer_kernel, rational_kernel_integer_basis
 from .lattice import Vector, _completion, content, pair, square
 
-QUOTIENT_RANK = 21
-
 
 @dataclass(frozen=True)
 class BoundaryClass:
@@ -131,16 +129,9 @@ class RelativeClass:
 def same_class(u: Vector, v: Vector, boundary: BoundaryClass) -> bool:
     """Whether two lattice vectors represent the same relative class."""
     d = u - v
-    if d.is_zero:
-        return True
     if not d.is_integral:
         raise ValidationError("representatives must be integral")
-    L = boundary.L.coords
-    i = next(i for i, c in enumerate(L) if c)
-    if d.coords[i] % L[i]:
-        return False
-    k = d.coords[i] // L[i]
-    return d == k * boundary.L
+    return RelativeClass(d, boundary).is_zero
 
 
 def relative_divisibility(gamma: RelativeClass) -> int:

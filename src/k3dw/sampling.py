@@ -32,9 +32,9 @@ from .periods import PeriodPoint, UnitAngle
 from .relative import (
     BoundaryClass,
     RelativeClass,
+    _lifting_rows,
     divide,
     relative_divisibility,
-    valid_liftings,
 )
 from .walls import KahlerVector
 
@@ -210,9 +210,9 @@ def chamber_threshold(rng: random.Random, gamma: RelativeClass) -> Fraction:
     Half-integers never collide with the integer wall offsets, so the
     resulting Kahler class is never on a wall of gamma (nor of any gamma/d).
     """
-    liftings = valid_liftings(gamma)
-    if liftings:
-        lo, hi = liftings[0][0], liftings[-1][0]
+    rows = _lifting_rows(gamma)
+    if rows:
+        lo, hi = rows[0][0], rows[-1][0]
     else:
         lo = hi = 0
     m = rng.randint(lo - 2, hi + 1)

@@ -1,6 +1,7 @@
 """Relative classes: quotient arithmetic, liftings, strong primitivity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from k3dw import (
     valid_liftings,
 )
 from k3dw.relative import _strongly_primitive_given_kernel
+from k3dw.sampling import random_boundary, random_lattice_vector, seeded
 
 from _oracles import brute_force_liftings
 
@@ -51,6 +53,21 @@ def test_same_class():
     assert rel(A3) == rel(A3 - 7 * A1)
     assert rel(A3) != rel(A4)
     assert hash(rel(A3)) == hash(rel(A3 + A1))
+    rng = seeded(11)
+    outcomes = set()
+    for _ in range(200):
+        boundary = random_boundary(rng)
+        u = random_lattice_vector(rng, bound=3)
+        k = rng.randint(-5, 5)
+        assert same_class(u, u + k * boundary.L, boundary)
+        v = u + k * boundary.L + rng.randint(0, 1) * random_lattice_vector(rng, 1)
+        same = same_class(u, v, boundary)
+        assert same == (RelativeClass(u, boundary) == RelativeClass(v, boundary))
+        outcomes.add(same)
+        half = u + Fraction(2 * k + 1, 2) * boundary.L
+        with pytest.raises(ValidationError, match="representatives must be integral"):
+            same_class(u, half, boundary)
+    assert outcomes == {True, False}
 
 
 def test_zero_class():
