@@ -7,7 +7,9 @@ the multiple-cover sum
     N(beta) = sum_{d | m} d^(-3) * G_{beta^2/(2 d^2) + 1},
 
 where G is the Yau-Zaslow coefficient table and terms with a negative or
-non-integer index vanish.  The invariant depends only on the pair
+non-integer index vanish.  Every term is an integer over m^3, so the sum is
+computed as the int m^3 * N(beta) (scaled_gw_profile) and divided once.  The
+invariant depends only on the pair
 (beta^2, m); this module follows the generic-deformation convention, where
 that profile determines the count for every class of the given square and
 content.
@@ -28,6 +30,19 @@ from .lattice import Vector, content, square
 from .series import SeriesTable, yz_coefficient
 
 
+def scaled_gw_profile(
+    beta_square: int, m: int, *, table: SeriesTable | None = None
+) -> int:
+    """m^3 * reduced_gw_profile(beta_square, m) for m >= 1, as an int: the sum
+    over d | m with 2 d^2 | beta_square of (m/d)^3 * G_{beta_square/(2 d^2) + 1}."""
+    total = 0
+    for d in divisors(m):
+        index, rest = divmod(beta_square, 2 * d * d)
+        if not rest:
+            total += (m // d) ** 3 * yz_coefficient(index + 1, table=table)
+    return total
+
+
 def reduced_gw_profile(
     beta_square: int, divisibility: int, *, table: SeriesTable | None = None
 ) -> Fraction:
@@ -36,12 +51,9 @@ def reduced_gw_profile(
         raise ValidationError(
             f"divisibility must be a positive integer, got {divisibility}"
         )
-    total = Fraction(0)
-    for d in divisors(divisibility):
-        g = yz_coefficient(Fraction(beta_square, 2 * d * d) + 1, table=table)
-        if g:
-            total += Fraction(g, d**3)
-    return total
+    return Fraction(
+        scaled_gw_profile(beta_square, divisibility, table=table), divisibility**3
+    )
 
 
 def reduced_gw(beta: Vector, *, table: SeriesTable | None = None) -> Fraction:

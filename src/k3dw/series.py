@@ -109,7 +109,7 @@ class SeriesTable:
         Accepts ints and Fractions; the non-integer convention makes the
         multiple-cover sums below write naturally without case splits.
         """
-        if isinstance(d, Fraction):
+        if type(d) is not int and isinstance(d, Fraction):  # ints skip the ABC check
             if d.denominator != 1:
                 return 0
             d = int(d)

@@ -37,6 +37,13 @@ kappa and the L-pairing all scale by d.  So gamma/d is read off the same table
 (its rows with d | content, L-pairing, square and content divided by d, d^2
 and d), and one table serves chamber sum, crossing, both BPS routes for every
 divisor, and the reconstruction.
+
+The sums are exact ints until one division at the end.  A row's closed
+invariant is kept as c^3 * reduced_gw (closed.scaled_gw_profile), and every
+content of gamma/d divides D/d, so a chamber sum of gamma/d is an int over
+(D/d)^3.  A rational kappa is decided through n * kappa, n the lcm of its
+denominators: a positive multiple, so with an integral vector and the same
+sign and zero of every pairing.
 """
 
 from __future__ import annotations
@@ -45,9 +52,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 
 from .arith import divisors, mobius
-from .closed import reduced_gw_profile
+from .closed import scaled_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
 from .relative import RelativeClass, _lifting_rows, relative_divisibility
@@ -96,22 +104,30 @@ def validate_kahler(
     parts of a period point when one is supplied (the (1,1) condition).
     """
     kappa = _as_kahler(kappa)
-    v = kappa.coords
-    if square(v) <= 0:
-        raise ValidationError(f"Kahler class needs positive square, got {square(v)}")
-    bl = pair(v, boundary.L)
-    if bl <= 0 and not allow_nonpositive_boundary:
-        raise ValidationError(
-            f"Kahler class pairs nonpositively ({bl}) with the boundary class; "
-            "pass allow_nonpositive_boundary=True if this chamber is intended"
-        )
-    if period is not None:
-        if pair(v, period.re) != 0 or pair(v, period.im) != 0:
-            raise ValidationError(
-                "Kahler class must pair to zero with the period point, got "
-                f"({pair(v, period.re)}, {pair(v, period.im)})"
-            )
+    _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary)
     return kappa
+
+
+def _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary) -> Vector:
+    """n * kappa for the lcm n of kappa's denominators, once validate_kahler's
+    checks pass on it; the error messages print kappa's own values."""
+    v = _as_kahler(kappa).coords
+    n = lcm(*(x.denominator for x in v))
+    w = v if n == 1 else Vector([x.numerator * (n // x.denominator) for x in v])
+    if square(w) <= 0:
+        raise ValidationError(f"Kahler class needs positive square, got {square(v)}")
+    if pair(w, boundary.L) <= 0 and not allow_nonpositive_boundary:
+        raise ValidationError(
+            f"Kahler class pairs nonpositively ({pair(v, boundary.L)}) with the "
+            "boundary class; pass allow_nonpositive_boundary=True if this chamber "
+            "is intended"
+        )
+    if period is not None and (pair(w, period.re) != 0 or pair(w, period.im) != 0):
+        raise ValidationError(
+            "Kahler class must pair to zero with the period point, got "
+            f"({pair(v, period.re)}, {pair(v, period.im)})"
+        )
+    return w
 
 
 class _WallTable:
@@ -123,20 +139,19 @@ class _WallTable:
 
     def __init__(self, gamma: RelativeClass, series: SeriesTable | None):
         self.rep, self.L, self.series = gamma.representative, gamma.boundary.L, series
+        self.D = relative_divisibility(gamma)
         self.rows = _lifting_rows(gamma)
-        self.closed = cache(partial(reduced_gw_profile, table=series))
+        self.closed = cache(partial(scaled_gw_profile, table=series))  # c^3 * N
         for _, c, sq, _ in self.rows:
             self.closed(sq, c)
 
-    def signs(self, kappa: KahlerVector, shift: int = 0) -> list[bool]:
-        """Whether pair(kappa, rep + kL) = p + k*q > 0, for every row.
+    def signs(self, w: Vector, shift: int = 0) -> list[bool]:
+        """Whether pair(w, rep + kL) = p + k*q > 0, for every row, w = n * kappa.
 
         Raises OnWallError with the offsets k + shift of the weight-carrying
         walls kappa lies on.
         """
-        p, q = pair(kappa.coords, self.rep), pair(kappa.coords, self.L)
-        # scaled by the positive denominators, so the values below are ints
-        p, q = p.numerator * q.denominator, q.numerator * p.denominator
+        p, q = pair(w, self.rep), pair(w, self.L)
         values = [p + k * q for k, _, _, _ in self.rows]
         on = [k + shift for (k, _, _, lp), v in zip(self.rows, values) if lp and not v]
         if on:
@@ -145,21 +160,24 @@ class _WallTable:
 
     def weighted(self, d: int, factors: list[int]) -> Fraction:
         """Sum of factor * pair(L, .) * closed invariant over the rows of gamma/d."""
-        dd = d * d
+        dd, m = d * d, self.D // d
         weights = Counter()  # per (square, content) profile of gamma/d
         for (_, c, sq, lp), f in zip(self.rows, factors):
             if f and lp and c % d == 0:
                 weights[sq // dd, c // d] += f * lp // d
-        return sum(
-            (w * self.closed(*profile) for profile, w in weights.items() if w),
-            Fraction(0),
+        # every content c of gamma/d divides m, so each term is an int over m^3
+        total = sum(
+            w * (m // c) ** 3 * self.closed(sq, c)
+            for (sq, c), w in weights.items()
+            if w
         )
+        return Fraction(total, m**3)
 
-    def bps(self, e: int, positive: list[bool], D: int, opens: dict) -> int:
-        """bps(gamma/e) by both routes, D gamma's divisibility; opens[d] memoizes
-        route (a)'s chamber sum open(gamma/d) across the caller's divisors."""
+    def bps(self, e: int, positive: list[bool], opens: dict) -> int:
+        """bps(gamma/e) by both routes; opens[d] memoizes route (a)'s chamber
+        sum open(gamma/d) across the caller's divisors."""
         by_inversion = Fraction(0)
-        for d in divisors(D // e):
+        for d in divisors(self.D // e):
             mu = mobius(d)
             if mu:
                 if e * d not in opens:
@@ -180,14 +198,9 @@ class _WallTable:
 
 def _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, shift=0):
     """Validate kappa once, then gamma's wall table and kappa's flags in it."""
-    kappa = validate_kahler(
-        kappa,
-        gamma.boundary,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-    )
+    w = _integral_kahler(kappa, gamma.boundary, period, allow_nonpositive_boundary)
     t = _WallTable(gamma, table)
-    return t, t.signs(kappa, shift)
+    return t, t.signs(w, shift)
 
 
 def valid_hyperplanes(
@@ -196,7 +209,8 @@ def valid_hyperplanes(
     """One WallRecord per valid lifting of gamma, sorted by offset k."""
     t = _WallTable(gamma, table)
     return [
-        WallRecord(k, gamma.lifting(k), lp, t.closed(sq, c)) for k, c, sq, lp in t.rows
+        WallRecord(k, gamma.lifting(k), lp, Fraction(t.closed(sq, c), c**3))
+        for k, c, sq, lp in t.rows
     ]
 
 
@@ -215,19 +229,10 @@ def chamber_check(
     offsets k of the violated walls; walls with pairing_with_L == 0 have
     weight zero and never raise.
     """
-    kappa = validate_kahler(
-        kappa,
-        gamma.boundary,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-    )
+    w = _integral_kahler(kappa, gamma.boundary, period, allow_nonpositive_boundary)
     if records is None:
         records = valid_hyperplanes(gamma, table=table)
-    on = [
-        r.k
-        for r in records
-        if r.pairing_with_L != 0 and pair(kappa.coords, r.lifting) == 0
-    ]
+    on = [r.k for r in records if r.pairing_with_L != 0 and pair(w, r.lifting) == 0]
     if on:
         raise OnWallError(on)
     return records
@@ -262,14 +267,9 @@ def crossing_delta(
     chamber sums, and is antisymmetric in its endpoints.
     """
     t, positive0 = _chamber(gamma, kappa0, period, allow_nonpositive_boundary, table)
-    kappa1 = validate_kahler(
-        kappa1,
-        gamma.boundary,
-        period=period,
-        allow_nonpositive_boundary=allow_nonpositive_boundary,
-    )
+    w1 = _integral_kahler(kappa1, gamma.boundary, period, allow_nonpositive_boundary)
     # a weight-carrying row is on neither wall, so (sgn1 - sgn0) / 2 = p1 - p0
-    flips = [p1 - p0 for p0, p1 in zip(positive0, t.signs(kappa1))]
+    flips = [p1 - p0 for p0, p1 in zip(positive0, t.signs(w1))]
     return t.weighted(1, flips)
 
 
@@ -291,17 +291,17 @@ def bps_invariant(
     chamber of every gamma/d, so the inner evaluations cannot hit a wall.
     """
     t, positive = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
-    return t.bps(1, positive, relative_divisibility(gamma), {})
+    return t.bps(1, positive, {})
 
 
 def _multiple_cover_terms(gamma, kappa, period, allow_nonpositive_boundary, table=None):
     """(D, {d: bps(gamma/d, kappa) for d | D}, open(gamma, kappa)), one table."""
-    D = relative_divisibility(gamma)
+    D = relative_divisibility(gamma)  # a zero class fails before kappa is read
     # on-wall offsets count from divide(gamma, 1)'s representative, rep - x0*L
     x0 = gamma.completion_coords[0]
     t, positive = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table, x0)
     opens = {}  # route (a)'s chamber sums, shared by every divisor
-    bps = {d: t.bps(d, positive, D, opens) for d in divisors(D)}
+    bps = {d: t.bps(d, positive, opens) for d in divisors(D)}
     return D, bps, opens[1]
 
 

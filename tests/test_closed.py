@@ -16,6 +16,7 @@ from k3dw import (
     two_divisible_check,
     yz_coefficients,
 )
+from k3dw.closed import scaled_gw_profile
 
 from _oracles import closed_oracle, divisor_list
 
@@ -37,6 +38,16 @@ def test_profile_grid_against_oracle():
     for m in range(1, 7):
         for sq in range(-2 * m * m, 41, 2):
             assert reduced_gw_profile(sq, m) == closed_oracle(sq, m, g), (sq, m)
+
+
+def test_scaled_profile_against_oracle():
+    # m^3 * N as an int, also on squares that 2 m^2 does not divide
+    g = yz_coefficients(40)
+    for m in range(1, 9):
+        for sq in range(-2 * m * m - 8, 61, 2):
+            value = scaled_gw_profile(sq, m)
+            assert type(value) is int, (sq, m)
+            assert value == m**3 * closed_oracle(sq, m, g), (sq, m)
 
 
 def test_depends_only_on_square_and_content():

@@ -99,3 +99,9 @@ def test_explicit_cap_wins_over_env(monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "2")
     table = SeriesTable(cap=50)
     assert len(table.coefficients(50)) == 51
+
+
+def test_a_bool_index_reads_as_an_int():
+    # ints skip the Fraction check; a bool still takes the int path
+    assert yz_coefficient(True) == 24
+    assert yz_coefficient(False) == 1

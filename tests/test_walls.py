@@ -8,6 +8,7 @@ pairings with its valid liftings.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,6 +30,7 @@ from k3dw import (
     jsonio,
     multiple_cover_reconstruction,
     open_invariant,
+    pair,
     relative,
     relative_divisibility,
     square,
@@ -276,9 +278,10 @@ def test_bps_guard_fires_on_a_corrupted_route_b_series_lookup(monkeypatch):
 
 
 def test_bps_guard_fires_on_a_corrupted_route_a_closed_invariant(monkeypatch):
-    real = walls.reduced_gw_profile
+    # walls reads c^3 * N, so adding c^3 is the same +1 on N
+    real = walls.scaled_gw_profile
     monkeypatch.setattr(
-        walls, "reduced_gw_profile", lambda sq, c, **kw: real(sq, c, **kw) + 1
+        walls, "scaled_gw_profile", lambda sq, c, **kw: real(sq, c, **kw) + c**3
     )
     with pytest.raises(ConsistencyError, match="gives -2, direct lifting sum gives -1"):
         bps_invariant(rel(A3), KAPPA_MINUS)
@@ -408,3 +411,70 @@ def test_divisor_views_match_independent_enumeration():
             )
             opened = open_invariant(gamma, kappa)
             assert by_views == multiple_cover_reconstruction(gamma, kappa) == opened
+
+
+def exact_sides(gamma, kappa):
+    """pair(kappa, rep + kL) as a Fraction for each row k of gamma's table."""
+    t = walls._WallTable(gamma, None)
+    return t, [(k, lp, pair(kappa, gamma.lifting(k))) for k, _, _, lp in t.rows]
+
+
+def test_integral_kahler_sides_match_exact_pairings():
+    # n * kappa is decided on ints; each row's side must be that of kappa
+    rng = seeded(11)
+    big = (10**12 + 39, 2**61 - 1, 7**15, 3 * 10**9 + 19)
+    for gamma, kappas in sampled_classes():
+        tilt = [Fraction(rng.randint(-9, 9), rng.choice(big)) for _ in range(22)]
+        threshold = chamber_threshold(rng, gamma)
+        far = kahler_in_chamber(rng, gamma, threshold, boundary_pairing=-1)
+        tilted = kappas[0].coords + Vector(tilt)
+        assert lcm(*(x.denominator for x in tilted)) > 10**30  # large and mixed
+        for kappa in [kv.coords for kv in kappas] + [far.coords, tilted]:
+            w = walls._integral_kahler(kappa, gamma.boundary, None, True)
+            # an integral, positive multiple of kappa
+            assert w.is_integral and pair(w, kappa) > 0
+            assert all(
+                w[i] * kappa[j] == w[j] * kappa[i] for i in range(22) for j in range(i)
+            )
+            t, sides = exact_sides(gamma, kappa)
+            assert t.signs(w) == [v > 0 for _, _, v in sides]
+
+
+def test_rational_kappa_on_a_wall_reports_its_offsets():
+    rng = seeded(5)
+    for gamma, _ in sampled_classes():
+        t = walls._WallTable(gamma, None)
+        weighted = [k for k, _, _, lp in t.rows if lp]
+        if not weighted:
+            continue
+        k = weighted[len(weighted) // 2]
+        for sign in (1, -1):
+            sampled = kahler_in_chamber(rng, gamma, Fraction(k), boundary_pairing=sign)
+            kappa = Fraction(1, 7) * sampled.coords  # the same walls, and rational
+            assert any(x.denominator > 1 for x in kappa)
+            _, sides = exact_sides(gamma, kappa)
+            on = tuple(j for j, lp, v in sides if lp and v == 0)
+            assert on == (k,)
+            x0 = gamma.completion_coords[0]
+            kw = dict(allow_nonpositive_boundary=sign < 0)
+            for evaluate, offsets in (
+                (open_invariant, on),
+                (bps_invariant, on),
+                (chamber_check, on),
+                (multiple_cover_reconstruction, (k + x0,)),
+            ):
+                with pytest.raises(OnWallError) as e:
+                    evaluate(gamma, kappa, **kw)
+                assert e.value.offsets == offsets
+
+
+def test_validate_kahler_messages_print_the_rational_kappa():
+    with pytest.raises(ValidationError) as e:
+        validate_kahler(Fraction(1, 2) * E1 + Fraction(1, 3) * A3, L)
+    assert str(e.value) == "Kahler class needs positive square, got -2/9"
+    with pytest.raises(ValidationError) as e:
+        validate_kahler(Fraction(1, 3) * W + Fraction(1, 5) * A1, L)
+    assert str(e.value) == (
+        "Kahler class pairs nonpositively (-2/5) with the boundary class; "
+        "pass allow_nonpositive_boundary=True if this chamber is intended"
+    )
