@@ -54,14 +54,6 @@ def _completion_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
     return tuple(sum(r * c for r, c in zip(row, v.coords)) for row in urows)
 
 
-def _lift_quotient(qcoords, boundary: BoundaryClass) -> Vector:
-    """A representative in the lattice with the given quotient coordinates."""
-    cols, _ = _completion(boundary.L.coords)
-    return Vector(
-        tuple(sum(q * x for q, x in zip(qcoords, row)) for row in zip(*cols[1:]))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RelativeClass:
     """A class in the quotient lattice, carried by an explicit representative.
@@ -144,18 +136,23 @@ def relative_divisibility(gamma: RelativeClass) -> int:
 
 
 def divide(gamma: RelativeClass, d: int) -> RelativeClass:
-    """The relative class gamma/d; d must divide the divisibility."""
+    """The relative class gamma/d; d must divide the divisibility.
+
+    Its representative is (rep - x0*L)/d: L is the first column of its
+    completion basis, so rep - x0*L is the sum of q_i * column_i over the
+    quotient coordinates q, and gamma/d inherits the coordinates (0, q/d).
+    """
     if d < 1:
         raise ValidationError(f"divisor must be a positive integer, got {d}")
-    qc = gamma.quotient_coords
+    x0, *qc = gamma.completion_coords
     m = gcd(*qc)
     if m == 0:
         raise ValidationError("cannot divide the zero relative class")
     if m % d:
         raise ValidationError(f"{d} does not divide the class divisibility {m}")
-    return RelativeClass(
-        _lift_quotient(tuple(c // d for c in qc), gamma.boundary), gamma.boundary
-    )
+    sub = RelativeClass(gamma.lifting(-x0).exact_div(d), gamma.boundary)
+    sub.__dict__["completion_coords"] = (0, *(c // d for c in qc))  # seeds the cache
+    return sub
 
 
 def _lifting_rows(gamma: RelativeClass) -> list[tuple[int, int, int, int]]:
@@ -192,9 +189,12 @@ def _strongly_primitive_given_kernel(qgamma, kernel_rows) -> bool:
 
     kernel_rows spans the (saturated) sublattice N of charge-silent classes.
     With N = 0 no decomposition gamma = k*gamma' + gamma'' with a nonzero
-    silent part exists at all.  Otherwise gamma is decomposable exactly when
-    its image in the free quotient by N is divisible by some k >= 2 (or is
-    zero), and that divisibility equals the gcd of a dual basis of the
+    silent part exists at all.  Only direct calls reach that case: a rational
+    period point always leaves N nonzero, and then gamma = k*gamma' splits as
+    k*(gamma' - n) + k*n for any nonzero n in N, so a strongly primitive class
+    is primitive in the quotient.  Otherwise gamma is decomposable exactly
+    when its image in the free quotient by N is divisible by some k >= 2 (or
+    is zero), and that divisibility equals the gcd of a dual basis of the
     annihilator of N evaluated on gamma.
     """
     if not kernel_rows:
@@ -208,16 +208,9 @@ def _strongly_primitive_given_kernel(qgamma, kernel_rows) -> bool:
     return dbar == 1
 
 
-def strongly_primitive(gamma: RelativeClass, period, *, strict: bool = False) -> bool:
+def strongly_primitive(gamma: RelativeClass, period) -> bool:
     """Whether gamma admits no splitting k*gamma' + gamma'' (k >= 2) with
-    gamma'' nonzero and charge-silent for the given period point.
-
-    With strict=True, splittings with gamma'' = 0 also count, i.e. the class
-    must in addition be primitive in the quotient.  The two readings agree
-    whenever the silent sublattice is nonzero, which for rational period
-    points is always; the flag matters only for the degenerate kernel-free
-    case reachable through the internal helper.
-    """
+    gamma'' nonzero and charge-silent for the given period point."""
     from . import periods  # deferred; periods imports this module
 
     periods.validate_period(period)
@@ -231,7 +224,4 @@ def strongly_primitive(gamma: RelativeClass, period, *, strict: bool = False) ->
         [pair(b, period.im) for b in basis],
     ]
     kernel_rows = rational_kernel_integer_basis(charge_rows)
-    result = _strongly_primitive_given_kernel(gamma.quotient_coords, kernel_rows)
-    if strict:
-        result = result and relative_divisibility(gamma) == 1
-    return result
+    return _strongly_primitive_given_kernel(gamma.quotient_coords, kernel_rows)

@@ -30,13 +30,15 @@ Walls whose lifting pairs to zero with L carry weight zero; they are listed
 (they are genuine boundaries) but never block a chamber evaluation.
 
 Each public call reads gamma's valid liftings once, as relative._lifting_rows'
-int rows (k, content = gcd(D, x0 + k), square, pair(L, .)) of rep + k*L, with
-closed invariants memoized per profile.  d * (gamma/d)~ runs over exactly the
-liftings of gamma whose content d divides, and validity, the side of every
-kappa and the L-pairing all scale by d.  So gamma/d is read off the same table
-(its rows with d | content, L-pairing, square and content divided by d, d^2
-and d), and one table serves chamber sum, crossing, both BPS routes for every
-divisor, and the reconstruction.
+int rows (k, content = gcd(D, x0 + k), square, pair(L, .)) of rep + k*L.  The
+series cap holds per class, checked row by row in k order before any chamber
+is read; closed invariants are computed on demand, memoized per profile.
+d * (gamma/d)~ runs over exactly the liftings of gamma whose content d
+divides, and validity, the side of every kappa and the L-pairing all scale by
+d.  So gamma/d is read off the same table (its rows with d | content,
+L-pairing, square and content divided by d, d^2 and d), and one table serves
+chamber sum, crossing, both BPS routes for every divisor, and the
+reconstruction.
 
 The sums are exact ints until one division at the end.  A row's closed
 invariant is kept as c^3 * reduced_gw (closed.scaled_gw_profile), and every
@@ -59,7 +61,7 @@ from .closed import scaled_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
 from .relative import RelativeClass, _lifting_rows, relative_divisibility
-from .series import SeriesTable, yz_coefficient
+from .series import SeriesTable, default_table, yz_coefficient
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,8 @@ def _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary) -> Vec
 class _WallTable:
     """The valid liftings of one class as int rows, from one enumeration.
 
-    The closed invariant of every row is evaluated up front, so a series cap
-    is hit before any chamber is looked at, as when wall records are built.
+    The cap is checked in k order at each row's largest series index, its
+    d = 1 term square/2 + 1; closed invariants are computed on demand.
     """
 
     def __init__(self, gamma: RelativeClass, series: SeriesTable | None):
@@ -142,8 +144,9 @@ class _WallTable:
         self.D = relative_divisibility(gamma)
         self.rows = _lifting_rows(gamma)
         self.closed = cache(partial(scaled_gw_profile, table=series))  # c^3 * N
-        for _, c, sq, _ in self.rows:
-            self.closed(sq, c)
+        probe = (series or default_table()).coefficient
+        for _, _, sq, _ in self.rows:
+            probe(sq // 2 + 1)
 
     def signs(self, w: Vector, shift: int = 0) -> list[bool]:
         """Whether pair(w, rep + kL) = p + k*q > 0, for every row, w = n * kappa.

@@ -18,6 +18,8 @@ from k3dw import (
     KahlerVector,
     OnWallError,
     RelativeClass,
+    SeriesCapError,
+    SeriesTable,
     ValidationError,
     Vector,
     WallRecord,
@@ -478,3 +480,71 @@ def test_validate_kahler_messages_print_the_rational_kappa():
         "Kahler class pairs nonpositively (-2/5) with the boundary class; "
         "pass allow_nonpositive_boundary=True if this chamber is intended"
     )
+
+
+def test_boundary_wall_needs_the_opt_in():
+    kappa = E1 + F1  # square 2 and pair(kappa, L) = 0: on the boundary wall
+    with pytest.raises(ValidationError) as e:
+        validate_kahler(kappa, L)
+    assert str(e.value) == (
+        "Kahler class pairs nonpositively (0) with the boundary class; "
+        "pass allow_nonpositive_boundary=True if this chamber is intended"
+    )
+    validate_kahler(kappa, L, allow_nonpositive_boundary=True)
+
+
+def test_series_cap_fires_from_rows_no_sum_reads():
+    # kappa lies past the highest row, so no chamber sum reads a row; the cap
+    # is still checked row by row in k order, at each row's d = 1 index
+    rng = seeded(13)
+    for gamma, _ in sampled_classes():
+        rows = relative._lifting_rows(gamma)
+        tops = [sq // 2 + 1 for _, _, sq, _ in rows]
+        kappa = kahler_in_chamber(rng, gamma, Fraction(2 * rows[-1][0] + 1, 2))
+        ranked = sorted(set(tops))
+        for cap in {0, max(0, ranked[len(ranked) // 2] - 1), ranked[-1] - 1}:
+            first = next(i for i, n in enumerate(tops) if n > cap)
+            for evaluate in (
+                lambda t: open_invariant(gamma, kappa, table=t),
+                lambda t: crossing_delta(gamma, kappa, kappa, table=t),
+                lambda t: bps_invariant(gamma, kappa, table=t),
+                lambda t: multiple_cover_reconstruction(gamma, kappa, table=t),
+            ):
+                table = SeriesTable(cap=cap)
+                with pytest.raises(SeriesCapError) as e:
+                    evaluate(table)
+                assert str(e.value).startswith(
+                    f"order {tops[first]} exceeds the series cap {cap};"
+                )
+                assert table.order == max([0, *tops[:first]])
+
+
+def test_every_chamber_of_a_class():
+    # rows k and b - k have equal profiles and opposite L-pairings, so the
+    # outermost chambers read 0 and the two sides of a cut read opposite values
+    rng = seeded(7)
+    classes = [gamma for gamma, _ in sampled_classes()] + [rel(6 * A3)]
+    skipped = 0  # unit steps of the cut that cross no row (rel(6 * A3): k = 1..5)
+    for gamma in classes:
+        records = {r.k: r for r in valid_hyperplanes(gamma)}
+        subs = [divide(gamma, d) for d in divisors(relative_divisibility(gamma))]
+        opens, below = [], None
+        for m in range(min(records) - 1, max(records) + 1):
+            cut = Fraction(2 * m + 1, 2)
+            up = kahler_in_chamber(rng, gamma, cut)  # rows k > cut
+            down = kahler_in_chamber(rng, gamma, cut, boundary_pairing=-1)
+            opened = open_invariant(gamma, up)
+            opposite = open_invariant(gamma, down, allow_nonpositive_boundary=True)
+            assert opposite == -opened
+            if below is not None:  # the step from cut - 1 crosses the row k = m
+                r = records.get(m)
+                skipped += r is None
+                step = -r.pairing_with_L * r.closed_invariant if r else 0
+                assert opened - opens[-1] == crossing_delta(gamma, below, up) == step
+            opens.append(opened)
+            below = up
+            for sub in subs:  # raises ConsistencyError unless the routes agree
+                bps_invariant(sub, up)
+                bps_invariant(sub, down, allow_nonpositive_boundary=True)
+        assert opens[0] == opens[-1] == 0
+    assert skipped
