@@ -99,10 +99,6 @@ def cmd_closed(args) -> int:
     return 0
 
 
-def _load_period_opt(inputs: dict):
-    return jsonio.period_from_payload(inputs["period"]) if "period" in inputs else None
-
-
 def cmd_walls(args) -> int:
     inputs = _payloads(gamma=args.gamma)
     records = valid_hyperplanes(jsonio.relative_class_from_payload(inputs["gamma"]))
@@ -120,42 +116,38 @@ def cmd_walls(args) -> int:
     return 0
 
 
-def cmd_open(args) -> int:
-    inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
-    value = open_invariant(
-        jsonio.relative_class_from_payload(inputs["gamma"]),
-        jsonio.kahler_from_payload(inputs["kappa"]),
-        period=_load_period_opt(inputs),
+def _chamber_call(func, args, *kappa_sources):
+    """func of the gamma, kappas and period of a chamber request.
+
+    Every given source loads before any decodes, as in _payloads; then gamma,
+    the kappas and the period decode in that order.
+    """
+    gamma, *kappas, period = [
+        src if src is None else jsonio.load_payload(src)
+        for src in (args.gamma, *kappa_sources, args.period)
+    ]
+    return func(
+        jsonio.relative_class_from_payload(gamma),
+        *[jsonio.kahler_from_payload(k) for k in kappas],
+        period=None if args.period is None else jsonio.period_from_payload(period),
         allow_nonpositive_boundary=args.allow_nonpositive_boundary,
     )
+
+
+def cmd_open(args) -> int:
+    value = _chamber_call(open_invariant, args, args.kappa)
     _emit(str(jsonio.encode_rational(value)))
     return 0
 
 
 def cmd_cross(args) -> int:
-    inputs = _payloads(
-        gamma=args.gamma, kappa0=args.kappa_from, kappa1=args.kappa_to,
-        period=args.period,
-    )
-    value = crossing_delta(
-        jsonio.relative_class_from_payload(inputs["gamma"]),
-        jsonio.kahler_from_payload(inputs["kappa0"]),
-        jsonio.kahler_from_payload(inputs["kappa1"]),
-        period=_load_period_opt(inputs),
-        allow_nonpositive_boundary=args.allow_nonpositive_boundary,
-    )
+    value = _chamber_call(crossing_delta, args, args.kappa_from, args.kappa_to)
     _emit(str(jsonio.encode_rational(value)))
     return 0
 
 
 def cmd_bps(args) -> int:
-    inputs = _payloads(gamma=args.gamma, kappa=args.kappa, period=args.period)
-    total, values, open_value = _multiple_cover_terms(
-        jsonio.relative_class_from_payload(inputs["gamma"]),
-        jsonio.kahler_from_payload(inputs["kappa"]),
-        _load_period_opt(inputs),
-        args.allow_nonpositive_boundary,
-    )
+    total, values, open_value = _chamber_call(_multiple_cover_terms, args, args.kappa)
     _emit(
         jsonio.dumps(
             {

@@ -79,9 +79,7 @@ def two_divisible_check(beta: Vector, *, table: SeriesTable | None = None) -> Fr
         raise ValidationError(
             f"this closed form needs a class of content 2, got content {content(beta)}"
         )
-    sq = square(beta)
-    assert sq % 8 == 0, "content-2 classes have square divisible by 8"
-    g = sq // 8 + 1
+    g = square(beta) // 8 + 1  # beta = 2 * beta', beta'^2 even: 8 | beta^2
     return yz_coefficient(4 * g - 3, table=table) + Fraction(
         yz_coefficient(g, table=table), 8
     )

@@ -78,9 +78,7 @@ def clear_denominators(row) -> list[int]:
     """Scale a rational row by the positive lcm of denominators."""
     fracs = [Fraction(x) for x in row]
     scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    out = [f * scale for f in fracs]
-    assert all(f.denominator == 1 for f in out)
-    return [int(f) for f in out]
+    return [int(f * scale) for f in fracs]
 
 
 def rational_kernel_integer_basis(rows) -> list[list[int]]:

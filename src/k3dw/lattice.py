@@ -24,7 +24,7 @@ from math import gcd
 from numbers import Integral
 
 from .arith import xgcd
-from .errors import LatticeError
+from .errors import ConsistencyError, LatticeError
 
 DIM = 22
 
@@ -263,7 +263,8 @@ def _completion(coords: tuple) -> tuple[tuple, tuple]:
         raise LatticeError(
             f"vector has content {a[0]}; basis extension needs a primitive vector"
         )
-    assert tuple(bcols[0]) == coords
+    if tuple(bcols[0]) != coords:
+        raise ConsistencyError(f"basis completion lost its first column {coords}")
     return tuple(tuple(c) for c in bcols), tuple(tuple(r) for r in urows)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .intlinalg import rational_kernel_integer_basis, solve
 from .lattice import DIM, Vector, content, gram_times, pair, reflect, square
 from .periods import PeriodPoint, UnitAngle
@@ -63,8 +63,8 @@ def random_lattice_vector(rng: random.Random, bound: int = 10) -> Vector:
             return v
 
 
-def random_primitive_vector(rng: random.Random, bound: int = 10) -> Vector:
-    v = random_lattice_vector(rng, bound)
+def random_primitive_vector(rng: random.Random) -> Vector:
+    v = random_lattice_vector(rng)
     return v.exact_div(content(v))
 
 
@@ -91,9 +91,9 @@ def random_root(
     return v
 
 
-def random_boundary(rng: random.Random, steps: int = 4) -> BoundaryClass:
+def random_boundary(rng: random.Random) -> BoundaryClass:
     """A boundary class inside the E8 blocks (keeps the U planes free)."""
-    return BoundaryClass(random_root(rng, pool=_E8_POOL, steps=steps))
+    return BoundaryClass(random_root(rng, pool=_E8_POOL))
 
 
 def random_relative_class(
@@ -101,7 +101,6 @@ def random_relative_class(
     boundary: BoundaryClass,
     *,
     divisibility: int = 1,
-    bound: int = 3,
     with_liftings: bool = True,
 ) -> RelativeClass:
     """A relative class of exactly the requested divisibility.
@@ -120,16 +119,15 @@ def random_relative_class(
         raise ValidationError(f"divisibility must be positive, got {divisibility}")
     # resample until the quotient class is nonzero
     while True:
-        v = Vector(tuple(rng.randint(-bound, bound) for _ in range(DIM)))
+        v = Vector(tuple(rng.randint(-3, 3) for _ in range(DIM)))
         gamma = RelativeClass(v, boundary)
         if not gamma.is_zero:
             break
     primitive = divide(gamma, relative_divisibility(gamma)).representative
     if with_liftings:
         j = rng.randrange(3)
-        u = rng.randint(1, bound) * Vector.basis(16 + 2 * j) + rng.randint(
-            1, bound
-        ) * Vector.basis(17 + 2 * j)
+        u = (rng.randint(1, 3) * Vector.basis(16 + 2 * j)
+             + rng.randint(1, 3) * Vector.basis(17 + 2 * j))
         target = 2 * rng.randint(0, 6) - 3
         step = 1
         while 2 * square(primitive) + pair(primitive, boundary.L) ** 2 < target:
@@ -140,7 +138,8 @@ def random_relative_class(
     # random representative shift exercises representative independence
     rep = rep + rng.randint(-2, 2) * boundary.L
     gamma = RelativeClass(rep, boundary)
-    assert relative_divisibility(gamma) == divisibility
+    if (drawn := relative_divisibility(gamma)) != divisibility:
+        raise ConsistencyError(f"drew divisibility {drawn}, want {divisibility}")
     return gamma
 
 
@@ -254,7 +253,8 @@ def kahler_in_chamber(
     for c, v in zip(coeffs, POSITIVE_TRIPLE):
         if c:
             w = w + c * v
-    assert square(w) > 0
+    if square(w) <= 0:  # else the doubling below never ends
+        raise ConsistencyError(f"positive direction {w!r} has square {square(w)}")
     lam = 1
     while square(base + lam * w) <= 0:
         lam *= 2

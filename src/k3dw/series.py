@@ -103,6 +103,15 @@ class SeriesTable:
                     )
                 g.append(coeff)
 
+    def _reserve(self, indices: list[int]) -> None:
+        """Grow the table once to max(indices), or raise SeriesCapError before
+        any growth for the first index past max(cap, order): the index and text
+        that looking the indices up one by one would raise with."""
+        top = max(indices, default=0)
+        if top > self.order:
+            limit = max(self.effective_cap(), self.order)
+            self._extend(next((n for n in indices if n > limit), top))
+
     def coefficient(self, d) -> int:
         """G_d for integer d >= 0; zero for negative or non-integer d.
 

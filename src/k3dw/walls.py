@@ -31,8 +31,11 @@ Walls whose lifting pairs to zero with L carry weight zero; they are listed
 
 Each public call reads gamma's valid liftings once, as relative._lifting_rows'
 int rows (k, content = gcd(D, x0 + k), square, pair(L, .)) of rep + k*L.  The
-series cap holds per class, checked row by row in k order before any chamber
-is read; closed invariants are computed on demand, memoized per profile.
+series cap holds per class: it is decided once, before the series grows and
+before any chamber is read, and the error names the first row in k order past
+it.  One test decides kappa's chamber for every public call, chamber_check
+included: the signs of pair(n * kappa, rep + k*L) on the rows.  Closed
+invariants are computed on demand, memoized per profile.
 d * (gamma/d)~ runs over exactly the liftings of gamma whose content d
 divides, and validity, the side of every kappa and the L-pairing all scale by
 d.  So gamma/d is read off the same table (its rows with d | content,
@@ -135,18 +138,25 @@ def _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary) -> Vec
 class _WallTable:
     """The valid liftings of one class as int rows, from one enumeration.
 
-    The cap is checked in k order at each row's largest series index, its
-    d = 1 term square/2 + 1; closed invariants are computed on demand.
+    The series cap is decided once for the class, before the series grows:
+    the largest index any row reads is its d = 1 term square/2 + 1, and the
+    first row in k order whose term is past the cap raises SeriesCapError.
+    Closed invariants are computed on demand.
     """
 
     def __init__(self, gamma: RelativeClass, series: SeriesTable | None):
-        self.rep, self.L, self.series = gamma.representative, gamma.boundary.L, series
+        self.gamma, self.series = gamma, series
         self.D = relative_divisibility(gamma)
         self.rows = _lifting_rows(gamma)
         self.closed = cache(partial(scaled_gw_profile, table=series))  # c^3 * N
-        probe = (series or default_table()).coefficient
-        for _, _, sq, _ in self.rows:
-            probe(sq // 2 + 1)
+        (series or default_table())._reserve([sq // 2 + 1 for _, _, sq, _ in self.rows])
+
+    def records(self) -> list[WallRecord]:
+        """One WallRecord per row, sorted by offset k."""
+        return [
+            WallRecord(k, self.gamma.lifting(k), lp, Fraction(self.closed(sq, c), c**3))
+            for k, c, sq, lp in self.rows
+        ]
 
     def signs(self, w: Vector, shift: int = 0) -> list[bool]:
         """Whether pair(w, rep + kL) = p + k*q > 0, for every row, w = n * kappa.
@@ -154,7 +164,7 @@ class _WallTable:
         Raises OnWallError with the offsets k + shift of the weight-carrying
         walls kappa lies on.
         """
-        p, q = pair(w, self.rep), pair(w, self.L)
+        p, q = pair(w, self.gamma.representative), pair(w, self.gamma.boundary.L)
         values = [p + k * q for k, _, _, _ in self.rows]
         on = [k + shift for (k, _, _, lp), v in zip(self.rows, values) if lp and not v]
         if on:
@@ -210,11 +220,7 @@ def valid_hyperplanes(
     gamma: RelativeClass, *, table: SeriesTable | None = None
 ) -> list[WallRecord]:
     """One WallRecord per valid lifting of gamma, sorted by offset k."""
-    t = _WallTable(gamma, table)
-    return [
-        WallRecord(k, gamma.lifting(k), lp, Fraction(t.closed(sq, c), c**3))
-        for k, c, sq, lp in t.rows
-    ]
+    return _WallTable(gamma, table).records()
 
 
 def chamber_check(
@@ -224,21 +230,16 @@ def chamber_check(
     period=None,
     allow_nonpositive_boundary: bool = False,
     table: SeriesTable | None = None,
-    records: list[WallRecord] | None = None,
 ) -> list[WallRecord]:
     """Verify kappa avoids every weight-carrying wall of gamma.
 
-    Returns the wall records for reuse.  Raises OnWallError listing the
-    offsets k of the violated walls; walls with pairing_with_L == 0 have
-    weight zero and never raise.
+    Decides kappa's chamber exactly as open_invariant does, and returns the
+    wall records of gamma.  Raises OnWallError listing the offsets k of the
+    violated walls; walls with pairing_with_L == 0 have weight zero and never
+    raise.
     """
-    w = _integral_kahler(kappa, gamma.boundary, period, allow_nonpositive_boundary)
-    if records is None:
-        records = valid_hyperplanes(gamma, table=table)
-    on = [r.k for r in records if r.pairing_with_L != 0 and pair(w, r.lifting) == 0]
-    if on:
-        raise OnWallError(on)
-    return records
+    t, _ = _chamber(gamma, kappa, period, allow_nonpositive_boundary, table)
+    return t.records()
 
 
 def open_invariant(

@@ -1,8 +1,11 @@
 """Check suites: the instances they draw and how they are looked up."""
 
+import itertools
+import json
+
 import pytest
 
-from k3dw import Vector, checks, sampling
+from k3dw import Vector, checks, cli, sampling
 from k3dw.relative import _lifting_rows
 
 
@@ -56,3 +59,90 @@ def test_chamber_threshold_builds_no_vector(monkeypatch):
     threshold = sampling.chamber_threshold(rng, gamma)
     assert rows[0][0] - 2 < threshold < rows[-1][0] + 2
     assert built == []
+
+
+SUITE_ARGS = {"trials": 2, "seed": 3, "max_divisibility": 2}
+
+
+def check_cli(capsys, name):
+    code = cli.main(
+        ["check", "--suite", name, "--trials", "2", "--seed", "3",
+         "--max-divisibility", "2"]
+    )
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+@pytest.mark.parametrize("name", checks.suite_names())
+def test_every_suite_passes(name):
+    report = checks.run_suite(name, **SUITE_ARGS)
+    assert (report["passed"], report["failure_count"], report["failures"]) == (True, 0, [])
+
+
+def shifted(real, by):
+    """real with `by(args)` added to its value."""
+    return lambda *args, **kwargs: real(*args, **kwargs) + by(args)
+
+
+def corrupt_lattice(monkeypatch):
+    # an asymmetric pairing
+    monkeypatch.setattr(checks, "pair", shifted(checks.pair, lambda a: a[0].coords[0]))
+
+
+def corrupt_reality(monkeypatch):
+    # exactly one of gamma and -gamma is read one too high
+    monkeypatch.setattr(checks, "open_invariant", shifted(
+        checks.open_invariant,
+        lambda a: a[0].quotient_coords > (-a[0]).quotient_coords,
+    ))
+
+
+def corrupt_integrality(monkeypatch):
+    # the multiple-cover reconstruction is off by one
+    monkeypatch.setattr(checks, "multiple_cover_reconstruction", shifted(
+        checks.multiple_cover_reconstruction, lambda a: 1
+    ))
+
+
+def corrupt_telescoping(monkeypatch):
+    # of each trial's three crossings, only the first (kappa0 to kappa1) is
+    # off by one, so only the telescoping check can see it
+    calls = itertools.count()
+    monkeypatch.setattr(checks, "crossing_delta", shifted(
+        checks.crossing_delta, lambda a: next(calls) % 3 == 0
+    ))
+
+
+def corrupt_crossing_sign(monkeypatch):
+    # a sign slip in every crossing: it still telescopes, but no longer
+    # equals the difference of the chamber sums
+    real = checks.crossing_delta
+    monkeypatch.setattr(checks, "crossing_delta", lambda *a, **kw: -real(*a, **kw))
+
+
+def corrupt_rotation(monkeypatch):
+    # an off-by-one in the rotated Kahler class
+    real = checks.rotate
+    monkeypatch.setattr(checks, "rotate", lambda omega, s, theta: (
+        real(omega, s, theta)[0] + Vector.basis(16), real(omega, s, theta)[1]
+    ))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("lattice", corrupt_lattice),
+        ("reality", corrupt_reality),
+        ("integrality", corrupt_integrality),
+        ("path-independence", corrupt_telescoping),
+        ("path-independence", corrupt_crossing_sign),
+        ("rotation", corrupt_rotation),
+    ],
+    ids=["lattice", "reality", "integrality", "telescoping", "crossing-sign", "rotation"],
+)
+def test_a_corrupted_identity_fails_its_suite(capsys, monkeypatch, name, corrupt):
+    corrupt(monkeypatch)
+    report = checks.run_suite(name, **SUITE_ARGS)
+    assert report["passed"] is False and report["failure_count"] > 0
+    code, printed, err = check_cli(capsys, name)
+    assert (code, printed, err) == (3, report, "")

@@ -17,6 +17,7 @@ import pytest
 from k3dw import Vector
 from k3dw import cli, walls
 from k3dw.cli import main
+from k3dw.series import default_table
 
 A1, A3 = Vector.basis(0), Vector.basis(2)
 E1, F1 = Vector.basis(16), Vector.basis(17)
@@ -177,6 +178,20 @@ def test_walls_csv(capsys):
     assert out.splitlines() == ["0,1,1", "1,-1,1"]
 
 
+def test_walls_text(capsys):
+    code, out, err = run(
+        capsys, "walls", "--gamma", json.dumps(gamma_payload(2 * E1)), "--format", "text"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "k=-2 pairing_with_L=4 closed_invariant=1/8\n"
+        "k=-1 pairing_with_L=2 closed_invariant=1\n"
+        "k=0 pairing_with_L=0 closed_invariant=27\n"
+        "k=1 pairing_with_L=-2 closed_invariant=1\n"
+        "k=2 pairing_with_L=-4 closed_invariant=1/8\n"
+    )
+
+
 def test_open_worked_chambers(capsys, tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(gamma_payload(A3)))
@@ -268,6 +283,40 @@ def test_bps_report(capsys):
     }
 
 
+CHAMBER_SLOTS = {  # the payload flags of each command, in load and decode order
+    "open": ("--gamma", "--kappa", "--period"),
+    "cross": ("--gamma", "--from", "--to", "--period"),
+    "bps": ("--gamma", "--kappa", "--period"),
+}
+PERIOD = {"schema": SCHEMA, "re": coords(E2 + F2), "im": coords(E3 + F3), "L": coords(A1)}
+
+
+@pytest.mark.parametrize("command", sorted(CHAMBER_SLOTS))
+def test_chamber_payloads_load_before_they_decode_in_order(capsys, tmp_path, command):
+    flags = CHAMBER_SLOTS[command]
+    good = [gamma_payload(A3)] + [KAPPA_MINUS] * (len(flags) - 2) + [PERIOD]
+    # each slot's defect names the slot: an unknown field, or a missing file
+    bad = [json.dumps({**p, f"slot{i}": 0}) for i, p in enumerate(good)]
+    missing = [str(tmp_path / f"slot{i}.json") for i in range(len(flags))]
+
+    def call(**defects):
+        payloads = [defects.get(f"s{i}", json.dumps(p)) for i, p in enumerate(good)]
+        return run(capsys, command, *(x for pair in zip(flags, payloads) for x in pair))
+
+    assert call()[0] == 0
+    for i in range(len(flags)):
+        for j in range(len(flags)):
+            if i == j:
+                continue
+            code, out, err = call(**{f"s{i}": bad[i], f"s{j}": missing[j]})
+            assert (code, out) == (2, "") and f"no such file: {missing[j]}" in err
+            if i < j:  # the earlier slot's schema error is the one reported
+                code, out, err = call(**{f"s{i}": bad[i], f"s{j}": bad[j]})
+                assert (code, out) == (2, "") and f"['slot{i}']" in err
+                code, out, err = call(**{f"s{i}": missing[i], f"s{j}": missing[j]})
+                assert (code, out) == (2, "") and f"no such file: {missing[i]}" in err
+
+
 def test_rotate_worked(capsys):
     omega = {"schema": SCHEMA, "omega": coords(E3 + F3)}
     period = {
@@ -348,6 +397,18 @@ def test_check_suite(capsys):
 )
 def test_check_flag_ranges_exit_1(capsys, argv, message):
     assert run(capsys, "check", *argv) == (1, "", f"k3dw check: error: {message}\n")
+
+
+def test_check_series_cap_fires_before_the_series_grows(capsys, monkeypatch):
+    monkeypatch.delenv("K3DW_SERIES_CAP", raising=False)
+    before = default_table().order
+    code, out, err = run(
+        capsys, "check", "--suite", "reality", "--trials", "2",
+        "--max-divisibility", "1000",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("k3dw check: order 101410 exceeds the series cap 100000;")
+    assert default_table().order == before
 
 
 def test_usage_exit_codes(capsys):

@@ -161,9 +161,16 @@ def test_weightless_wall_never_blocks():
     assert open_invariant(rel(E1), kappa) == -2
 
 
-def test_chamber_check_reuses_records():
-    records = valid_hyperplanes(rel(A3))
-    assert chamber_check(rel(A3), KAPPA_MINUS, records=records) is records
+def test_chamber_check_returns_the_wall_records():
+    rng = seeded(5)
+    for gamma, _ in sampled_classes():
+        records = valid_hyperplanes(gamma)
+        for sign in (1, -1):  # both signs of pair(kappa, L)
+            kappa = kahler_in_chamber(
+                rng, gamma, chamber_threshold(rng, gamma), boundary_pairing=sign
+            )
+            assert (sign > 0) == (pair(kappa.coords, gamma.boundary.L) > 0)
+            assert chamber_check(gamma, kappa, allow_nonpositive_boundary=True) == records
 
 
 def test_crossing_matches_chamber_difference():
@@ -495,7 +502,8 @@ def test_boundary_wall_needs_the_opt_in():
 
 def test_series_cap_fires_from_rows_no_sum_reads():
     # kappa lies past the highest row, so no chamber sum reads a row; the cap
-    # is still checked row by row in k order, at each row's d = 1 index
+    # is still decided over every row's d = 1 index, and the error names the
+    # first row in k order past it
     rng = seeded(13)
     for gamma, _ in sampled_classes():
         rows = relative._lifting_rows(gamma)
@@ -516,7 +524,31 @@ def test_series_cap_fires_from_rows_no_sum_reads():
                 assert str(e.value).startswith(
                     f"order {tops[first]} exceeds the series cap {cap};"
                 )
-                assert table.order == max([0, *tops[:first]])
+                assert table.order == 0  # the cap is decided before any growth
+
+
+def test_series_cap_after_a_lowered_limit(monkeypatch):
+    # a table grown under a higher cap keeps what it has; lowered, the cap
+    # fires at the first row in k order past max(cap, order)
+    rng = seeded(17)
+    for gamma, _ in sampled_classes():
+        rows = relative._lifting_rows(gamma)
+        tops = [sq // 2 + 1 for _, _, sq, _ in rows]
+        kappa = kahler_in_chamber(rng, gamma, Fraction(2 * rows[-1][0] + 1, 2))
+        assert max(tops) > 0
+        for grown in {max(0, tops[0]), max(tops) - 1}:
+            for cap in {0, grown // 2}:
+                monkeypatch.setenv("K3DW_SERIES_CAP", str(max(tops)))
+                table = SeriesTable()
+                table.coefficients(grown)
+                monkeypatch.setenv("K3DW_SERIES_CAP", str(cap))
+                first = next(n for n in tops if n > max(cap, grown))
+                with pytest.raises(SeriesCapError) as e:
+                    open_invariant(gamma, kappa, table=table)
+                assert str(e.value).startswith(
+                    f"order {first} exceeds the series cap {cap};"
+                )
+                assert table.order == grown
 
 
 def test_every_chamber_of_a_class():
