@@ -140,8 +140,8 @@ class _WallTable:
 
     The series cap is decided once for the class, before the series grows:
     the largest index any row reads is its d = 1 term square/2 + 1, and the
-    first row in k order whose term is past the cap raises SeriesCapError.
-    Closed invariants are computed on demand.
+    first row in k order whose term is past both the cap and the series'
+    order raises SeriesCapError.  Closed invariants are computed on demand.
     """
 
     def __init__(self, gamma: RelativeClass, series: SeriesTable | None):

@@ -123,9 +123,12 @@ def corrupt_crossing_sign(monkeypatch):
 def corrupt_rotation(monkeypatch):
     # an off-by-one in the rotated Kahler class
     real = checks.rotate
-    monkeypatch.setattr(checks, "rotate", lambda omega, s, theta: (
-        real(omega, s, theta)[0] + Vector.basis(16), real(omega, s, theta)[1]
-    ))
+
+    def rotate(omega, s, theta):
+        omega_t, period_t = real(omega, s, theta)
+        return omega_t + Vector.basis(16), period_t
+
+    monkeypatch.setattr(checks, "rotate", rotate)
 
 
 @pytest.mark.parametrize(
