@@ -49,6 +49,7 @@ from k3dw.sampling import (
     random_relative_class,
     seeded,
 )
+from test_sparse import sparse_classes
 
 A1, A3, A5 = Vector.basis(0), Vector.basis(2), Vector.basis(4)
 E1, F1 = Vector.basis(16), Vector.basis(17)
@@ -555,8 +556,9 @@ def test_every_chamber_of_a_class():
     # rows k and b - k have equal profiles and opposite L-pairings, so the
     # outermost chambers read 0 and the two sides of a cut read opposite values
     rng = seeded(7)
-    classes = [gamma for gamma, _ in sampled_classes()] + [rel(6 * A3)]
-    skipped = 0  # unit steps of the cut that cross no row (rel(6 * A3): k = 1..5)
+    classes = [gamma for gamma, _ in sampled_classes()]
+    classes += [gamma for gamma, _ in sparse_classes(12)]
+    skipped = 0  # unit steps of the cut that cross no row (6 * A3: k = 1..5)
     for gamma in classes:
         records = {r.k: r for r in valid_hyperplanes(gamma)}
         subs = [divide(gamma, d) for d in divisors(relative_divisibility(gamma))]

@@ -10,7 +10,16 @@ SeriesTable(cap).  The probe records the value, or the exception type and
 text, of open_invariant, crossing_delta, bps_invariant of every gamma/d,
 multiple_cover_reconstruction, valid_hyperplanes and chamber_check, and the
 table's order after each call.  It also records the representative and
-coordinates of every divide(gamma, d).
+coordinates of every divide(gamma, d), and the draw itself: gamma's
+representative and each Kahler class, since any kappa in the same chamber
+gives the same values.  A draw that raises is the record of every call in its
+grid cell, so a broken sampler ends in a differing record, not a traceback.
+
+The sparse part walks three hand-built families whose rows sit only at large
+content (Delta_0 = b_0^2 + 2*square(rep_0) = 0, -3 and -4: D*e1, D*r with
+pair(r, L) = 1, D*r' with r' orthogonal to L), which the sampler almost never
+draws, for D up to 10^4 and shifted representatives.  It records each class's
+wall records and, for D <= 12, the values of every chamber.
 
 The CLI part runs a fixed argv list through k3dw.cli.main in process and
 records exit code, stdout and stderr.  The list includes a grid of valid,
@@ -65,9 +74,12 @@ DIVISIBILITIES = range(1, 7)
 CAPS = (5, 40, 300, 3000)
 B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 MISSING = "no-such-dir/k3dw-equivalence-missing.json"
+KAPPAS = ("plus", "minus", "wall")
+SPARSE_D = (1, 2, 3, 4, 5, 6, 12, 30, 210, 2**10, 3**6, 10**4)
+SPARSE_SHIFTS = (0, -3, 5)
 ENTRY_POINTS = (
-    "open", "crossing", "bps", "reconstruction", "valid_hyperplanes",
-    "chamber_check", "order", "divide", "cli",
+    "draw", "open", "crossing", "bps", "reconstruction", "valid_hyperplanes",
+    "chamber_check", "order", "divide", "sparse", "cli",
 )
 
 
@@ -84,12 +96,17 @@ def show(x) -> str:
     return str(x)
 
 
+def caught(err: Exception) -> tuple[str, str]:
+    """(the exception's type and text, its type)."""
+    return f"{type(err).__name__}: {err}", type(err).__name__
+
+
 def outcome(call) -> tuple[str, str]:
     """(text of the value or of the exception, the exception's type or '')."""
     try:
         return show(call()), ""
     except Exception as err:  # noqa: BLE001 - the type and text are the record
-        return f"{type(err).__name__}: {err}", type(err).__name__
+        return caught(err)
 
 
 def draw(seed: int, D: int):
@@ -119,10 +136,24 @@ def library_records():
     """(entry point, key, text) for the whole library grid, in a fixed order."""
     for seed in SEEDS:
         for D in DIVISIBILITIES:
-            gamma, kappas = draw(seed, D)
-            subs = [(d, divide(gamma, d)) for d in divisors(relative_divisibility(gamma))]
+            cell = f"s{seed} D{D}"
+            try:
+                gamma, kappas = draw(seed, D)
+            except Exception as err:  # noqa: BLE001 - the record of every call below
+                failed = caught(err)
+                gamma, kappas = None, dict.fromkeys(KAPPAS)
+                subs = [(d, None) for d in divisors(D)]
+            else:
+                failed = None
+                subs = [(d, divide(gamma, d)) for d in divisors(relative_divisibility(gamma))]
+                yield "draw", f"{cell} gamma", show(gamma.representative)
+                for name, kappa in kappas.items():
+                    yield "draw", f"{cell} {name}", show(kappa.coords)
+            if failed:
+                for name in ("gamma", *KAPPAS):
+                    yield "draw", f"{cell} {name}", failed[0]
             for d, sub in subs:
-                yield "divide", f"s{seed} D{D} d{d}", show(
+                yield "divide", f"{cell} d{d}", failed[0] if failed else show(
                     (sub.representative, sub.completion_coords)
                 )
             plus, minus, wall = kappas["plus"], kappas["minus"], kappas["wall"]
@@ -150,11 +181,55 @@ def library_records():
                         gamma, a, b, allow_nonpositive_boundary=True, table=t)))
                 for entry, name, call in calls:
                     table = SeriesTable(cap)
-                    text, raised = outcome(lambda: call(table))
-                    key = f"s{seed} D{D} cap{cap} {name}".rstrip()
+                    text, raised = failed or outcome(lambda: call(table))
+                    key = f"{cell} cap{cap} {name}".rstrip()
                     yield entry, key, text
                     after = f" after {raised}" if raised else ""
                     yield "order", f"{key} {entry}{after}", str(table.order)
+
+
+def sparse_classes():
+    """(key, class) for D*e1, D*r and D*r' over L = A1, shifted by j*L."""
+    A1 = Vector.basis(0)
+    boundary = BoundaryClass(A1)
+    for family, x in (("e1", Vector.basis(16)), ("r", Vector.basis(2)), ("r'", Vector.basis(4))):
+        for D in SPARSE_D:
+            for j in SPARSE_SHIFTS:
+                yield f"{family} D{D} j{j}", RelativeClass(D * x + j * A1, boundary)
+
+
+def chamber_values(gamma, table):
+    """(cut, text) for each chamber k > cut of gamma, lowest cut first: open on
+    both sides of the boundary wall, the crossing between them, the
+    reconstruction and bps of every gamma/d."""
+    rng = sampling.seeded(0)
+    subs = [divide(gamma, d) for d in divisors(relative_divisibility(gamma))]
+    ks = [k for k, _ in valid_liftings(gamma)]
+    for m in (min(ks, default=0) - 1, *ks):
+        cut = Fraction(2 * m + 1, 2)
+
+        def values():
+            up = sampling.kahler_in_chamber(rng, gamma, cut)
+            down = sampling.kahler_in_chamber(rng, gamma, cut, boundary_pairing=-1)
+            flip = dict(allow_nonpositive_boundary=True, table=table)
+            return (
+                open_invariant(gamma, up, table=table),
+                open_invariant(gamma, down, **flip),
+                crossing_delta(gamma, down, up, **flip),
+                multiple_cover_reconstruction(gamma, up, table=table),
+                [bps_invariant(s, up, table=table) for s in subs],
+            )
+
+        yield cut, outcome(values)[0]
+
+
+def sparse_records():
+    for key, gamma in sparse_classes():
+        table = SeriesTable(3000)
+        yield "sparse", f"{key} rows", outcome(lambda: valid_hyperplanes(gamma, table=table))[0]
+        if relative_divisibility(gamma) <= 12:
+            for cut, text in chamber_values(gamma, table):
+                yield "sparse", f"{key} cut {show(cut)}", text
 
 
 def cli_argvs():
@@ -171,7 +246,11 @@ def cli_argvs():
                "--max-divisibility", "2"]
               for s in ("lattice", "reality", "integrality", "path-independence", "rotation")]
     for seed in range(6):
-        gamma, kappas = draw(seed, 1 + seed % 3)
+        try:
+            gamma, kappas = draw(seed, 1 + seed % 3)
+        except Exception as err:  # noqa: BLE001 - recorded in place of its argvs
+            argvs.append(err)
+            continue
         g = jsonio.dumps(jsonio.relative_class_to_payload(gamma))
         k = {n: jsonio.dumps(jsonio.kahler_to_payload(v)) for n, v in kappas.items()}
         for fmt in ("json", "csv", "text"):
@@ -222,6 +301,9 @@ def bad_payload_argvs():
 
 def cli_records():
     for i, argv in enumerate(cli_argvs()):
+        if isinstance(argv, Exception):
+            yield "cli", f"argv{i} draw", caught(argv)[0]
+            continue
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
@@ -231,7 +313,7 @@ def cli_records():
 def probe() -> dict:
     """{entry point: [(key, text), ...]} over the whole grid."""
     records = {e: [] for e in ENTRY_POINTS}
-    for source in (library_records(), cli_records()):
+    for source in (library_records(), sparse_records(), cli_records()):
         for entry, key, text in source:
             records[entry].append((key, text))
     return records
