@@ -86,40 +86,6 @@ def rational_kernel_integer_basis(rows) -> list[list[int]]:
     return integer_kernel([clear_denominators(r) for r in rows])
 
 
-def solve(rows, rhs) -> list[Fraction]:
-    """One rational solution x of A x = b, free variables set to zero.
-
-    Raises ValueError if the system is inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = a[row][n]
-    return x
-
-
 def symmetric_signature(rows) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric rational matrix.
 

@@ -13,9 +13,11 @@ Distributions are documented here once and relied on by the check suites:
   style) to the three positive classes e_j + f_j, then a few reflections by
   roots orthogonal to L; this reaches non-block periods while keeping every
   constraint exact;
-* Kahler representatives of a chamber solve the two pairing conditions with
-  a prescribed threshold, then add a positive-square correction from the
-  orthogonal positive 3-space until square(kappa) > 0.
+* Kahler representatives of a chamber meet the two pairing conditions with
+  a prescribed threshold by Cramer's rule on two coordinates (the solution
+  Gauss-Jordan gives with every free coordinate zero), then add a
+  positive-square correction from the orthogonal positive 3-space until
+  square(kappa) > 0.
 
 Everything takes an explicit random.Random so runs are reproducible.
 """
@@ -26,7 +28,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .intlinalg import rational_kernel_integer_basis, solve
+from .intlinalg import rational_kernel_integer_basis
 from .lattice import DIM, Vector, content, gram_times, pair, reflect, square
 from .periods import PeriodPoint, UnitAngle
 from .relative import (
@@ -229,19 +231,32 @@ def kahler_in_chamber(
 
     B = boundary_pairing = pair(kappa, L); with B > 0 the kappa-positive
     liftings are exactly those with k > threshold, with B < 0 those with
-    k < threshold.  Solves the two pairing conditions, then adds enough of a
-    positive direction orthogonal to both rep and L to make square(kappa)
-    positive (such a direction always exists: the positive 3-space cannot
-    intersect a corank-2 subspace trivially).
+    k < threshold.
+
+    The two conditions pair(kappa, rep) = -threshold*B and pair(kappa, L) = B
+    are rows a = G*rep and b = G*L.  They are independent unless gamma is
+    zero (rep a multiple of L).  The base solution is nonzero only at i, the
+    first coordinate where a or b is nonzero, and j, the first later one where
+    a_i*b_j != a_j*b_i, and is found there by Cramer's rule.  Then enough of
+    a positive direction orthogonal to both rep and L is added to make
+    square(kappa) positive (such a direction always exists: the positive
+    3-space cannot intersect a corank-2 subspace trivially).
     """
     if boundary_pairing == 0:
         raise ValidationError("boundary pairing must be nonzero")
+    if gamma.is_zero:
+        raise ValidationError("the zero relative class has no chambers")
     rep = gamma.representative
     L = gamma.boundary.L
-    b_target = Fraction(boundary_pairing)
-    rows = [list(gram_times(rep)), list(gram_times(L))]
-    rhs = [-threshold * b_target, b_target]
-    base = Vector(solve(rows, rhs))
+    a, b = gram_times(rep), gram_times(L)
+    p, q = -threshold * boundary_pairing, boundary_pairing
+    i = next(i for i in range(DIM) if a[i] or b[i])
+    j = next(j for j in range(i + 1, DIM) if a[i] * b[j] != a[j] * b[i])
+    det = a[i] * b[j] - a[j] * b[i]
+    coords = [0] * DIM
+    coords[i] = Fraction(p * b[j] - a[j] * q, det)
+    coords[j] = Fraction(a[i] * q - p * b[i], det)
+    base = Vector(coords)
     # positive direction within span(e_j + f_j) orthogonal to rep and L
     constraint = [
         [pair(v, rep) for v in POSITIVE_TRIPLE],

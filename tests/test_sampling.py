@@ -6,7 +6,18 @@ same chamber gives the same invariants, so the draws are pinned here.
 
 from fractions import Fraction as F
 
-from k3dw import BoundaryClass, KahlerVector, RelativeClass, Vector, pair, sampling, square
+import pytest
+
+from k3dw import (
+    BoundaryClass,
+    KahlerVector,
+    RelativeClass,
+    ValidationError,
+    Vector,
+    pair,
+    sampling,
+    square,
+)
 
 A1, A3, E1 = Vector.basis(0), Vector.basis(2), Vector.basis(16)
 
@@ -58,3 +69,14 @@ def test_kahler_draws_meet_both_pairing_conditions():
                 assert pair(v, gamma.representative) == -threshold * B
                 assert pair(v, boundary.L) == B
                 assert square(v) > 0
+
+
+def test_the_zero_class_has_no_kahler_draw():
+    # rep = c*L makes the two pairing conditions dependent, and at
+    # threshold -c consistent, so the guard comes before the solve
+    L = BoundaryClass(A1)
+    for c in (0, 2, -1):
+        gamma = RelativeClass(c * A1, L)
+        for threshold in (F(-c), F(1, 2)):
+            with pytest.raises(ValidationError, match="zero relative class"):
+                sampling.kahler_in_chamber(sampling.seeded(0), gamma, threshold)
