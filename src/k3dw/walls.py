@@ -63,6 +63,7 @@ from .arith import divisors, mobius
 from .closed import scaled_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
 from .lattice import Vector, pair, square
+from .periods import validate_period
 from .relative import RelativeClass, _lifting_rows, relative_divisibility
 from .series import SeriesTable, default_table, yz_coefficient
 
@@ -105,8 +106,10 @@ def validate_kahler(
 
     square(kappa) > 0 always; pair(kappa, L) > 0 unless the caller opts out
     (chambers on the far side of the boundary wall are legitimate, but the
-    default guards against accidental sign slips); and orthogonality to both
-    parts of a period point when one is supplied (the (1,1) condition).
+    default guards against accidental sign slips); and, when a period point
+    is supplied, that it is valid (periods.validate_period), has the same
+    boundary class, and pairs to zero with kappa in both parts (the (1,1)
+    condition).
     """
     kappa = _as_kahler(kappa)
     _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary)
@@ -127,11 +130,15 @@ def _integral_kahler(kappa, boundary, period, allow_nonpositive_boundary) -> Vec
             "boundary class; pass allow_nonpositive_boundary=True if this chamber "
             "is intended"
         )
-    if period is not None and (pair(w, period.re) != 0 or pair(w, period.im) != 0):
-        raise ValidationError(
-            "Kahler class must pair to zero with the period point, got "
-            f"({pair(v, period.re)}, {pair(v, period.im)})"
-        )
+    if period is not None:
+        validate_period(period)
+        if period.boundary != boundary:
+            raise ValidationError("period point and class have different boundary classes")
+        if pair(w, period.re) != 0 or pair(w, period.im) != 0:
+            raise ValidationError(
+                "Kahler class must pair to zero with the period point, got "
+                f"({pair(v, period.re)}, {pair(v, period.im)})"
+            )
     return w
 
 

@@ -317,6 +317,25 @@ def test_chamber_payloads_load_before_they_decode_in_order(capsys, tmp_path, com
                 assert (code, out) == (2, "") and f"no such file: {missing[i]}" in err
 
 
+@pytest.mark.parametrize("command", sorted(CHAMBER_SLOTS))
+def test_chamber_commands_validate_their_period(capsys, command):
+    # the texts are those of rotate and central_charge on the same periods
+    flags = CHAMBER_SLOTS[command]
+    good = [gamma_payload(A3)] + [KAPPA_MINUS] * (len(flags) - 2)
+    zero = [0] * 22
+    for period, text in (
+        (PERIOD, None),
+        ({**PERIOD, "re": zero, "im": zero}, "Omega . conj(Omega) = 0 is not positive"),
+        ({**PERIOD, "L": coords(A3)}, "period point and class have different boundary classes"),
+    ):
+        payloads = [json.dumps(p) for p in (*good, period)]
+        code, out, err = run(capsys, command, *(x for pair in zip(flags, payloads) for x in pair))
+        if text is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"k3dw {command}: {text}\n")
+
+
 def test_rotate_worked(capsys):
     omega = {"schema": SCHEMA, "omega": coords(E3 + F3)}
     period = {

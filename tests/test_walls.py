@@ -112,6 +112,47 @@ def test_validate_kahler_against_period():
         validate_kahler(2 * omega + E1 - A1, L, period=period)
 
 
+def test_chamber_calls_validate_their_period():
+    # each bad period raises what central_charge raises on it, after kappa's
+    # own checks and before the orthogonality check
+    from k3dw import PeriodPoint, central_charge
+
+    zero = Vector.zero()
+    bad = [
+        PeriodPoint(re=zero, im=zero, boundary=L),  # OMEGA_NORM
+        PeriodPoint(re=E2 + F2, im=2 * (E3 + F3), boundary=L),  # OMEGA_SQUARE
+        # OMEGA_BOUNDARY: both squares 6, but pair(re, L) = -2
+        PeriodPoint(re=2 * (E2 + F2) + A1, im=E3 + F3 + E1 + 2 * F1, boundary=L),
+        PeriodPoint(re=E2 + F2, im=E3 + F3, boundary=BoundaryClass(A3)),  # valid, for A3
+    ]
+    calls = [
+        lambda p: validate_kahler(KAPPA_MINUS, L, period=p),
+        lambda p: chamber_check(rel(A3), KAPPA_MINUS, period=p),
+        lambda p: open_invariant(rel(A3), KAPPA_MINUS, period=p),
+        lambda p: crossing_delta(rel(A3), KAPPA_MINUS, KAPPA_MINUS, period=p),
+        lambda p: bps_invariant(rel(A3), KAPPA_MINUS, period=p),
+        lambda p: multiple_cover_reconstruction(rel(A3), KAPPA_MINUS, period=p),
+    ]
+    codes = []
+    for period in bad:
+        with pytest.raises(ValidationError) as want:
+            central_charge(period, rel(A3))
+        codes.append(getattr(want.value, "code", None))
+        for call in calls:
+            with pytest.raises(type(want.value)) as got:
+                call(period)
+            assert str(got.value) == str(want.value)
+            assert getattr(got.value, "code", None) == codes[-1]
+        # kappa's own square and L-pairing errors come first
+        with pytest.raises(ValidationError, match="positive square"):
+            open_invariant(rel(A3), A3, period=period)
+        with pytest.raises(ValidationError, match="pairs nonpositively"):
+            open_invariant(rel(A3), KAPPA_FLIP, period=period)
+    assert codes == ["OMEGA_NORM", "OMEGA_SQUARE", "OMEGA_BOUNDARY", None]
+    good = PeriodPoint(re=E2 + F2, im=E3 + F3, boundary=L)
+    assert open_invariant(rel(A3), KAPPA_MINUS, period=good) == -1
+
+
 def test_open_invariant_four_chambers():
     gamma = rel(A3)
     assert open_invariant(gamma, KAPPA_PLUS_PLUS) == 0
