@@ -50,12 +50,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _payloads(**sources) -> dict:
-    """Load every given source (inline JSON or file path) before decoding any."""
-    return {
-        name: jsonio.load_payload(src) for name, src in sources.items()
-        if src is not None
-    }
+def _payloads(*sources) -> list:
+    """Load every source (inline JSON or file path) before decoding any; an
+    absent source (None) stays None."""
+    return [src if src is None else jsonio.load_payload(src) for src in sources]
 
 
 def _emit(line: str) -> None:
@@ -100,8 +98,8 @@ def cmd_closed(args) -> int:
 
 
 def cmd_walls(args) -> int:
-    inputs = _payloads(gamma=args.gamma)
-    records = valid_hyperplanes(jsonio.relative_class_from_payload(inputs["gamma"]))
+    gamma = jsonio.load_payload(args.gamma)
+    records = valid_hyperplanes(jsonio.relative_class_from_payload(gamma))
     if args.format == "csv":
         for r in records:
             _emit(f"{r.k},{r.pairing_with_L},{jsonio.encode_rational(r.closed_invariant)}")
@@ -119,13 +117,10 @@ def cmd_walls(args) -> int:
 def _chamber_call(func, args, *kappa_sources):
     """func of the gamma, kappas and period of a chamber request.
 
-    Every given source loads before any decodes, as in _payloads; then gamma,
-    the kappas and the period decode in that order.
+    Every given source loads before any decodes; then gamma, the kappas and
+    the period decode in that order.
     """
-    gamma, *kappas, period = [
-        src if src is None else jsonio.load_payload(src)
-        for src in (args.gamma, *kappa_sources, args.period)
-    ]
+    gamma, *kappas, period = _payloads(args.gamma, *kappa_sources, args.period)
     return func(
         jsonio.relative_class_from_payload(gamma),
         *[jsonio.kahler_from_payload(k) for k in kappas],
@@ -162,10 +157,10 @@ def cmd_bps(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    inputs = _payloads(omega=args.omega, period=args.period, angle=args.angle)
-    omega = jsonio.omega_from_payload(inputs["omega"])
-    s = jsonio.period_from_payload(inputs["period"])
-    theta = jsonio.angle_from_payload(inputs["angle"])
+    omega, period, angle = _payloads(args.omega, args.period, args.angle)
+    omega = jsonio.omega_from_payload(omega)
+    s = jsonio.period_from_payload(period)
+    theta = jsonio.angle_from_payload(angle)
     omega_t, (re_t, im_t) = rotate_op(omega, s, theta)
     _emit(
         jsonio.dumps(
