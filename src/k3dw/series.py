@@ -115,8 +115,10 @@ class SeriesTable:
     def coefficient(self, d) -> int:
         """G_d for integer d >= 0; zero for negative or non-integer d.
 
-        Accepts ints and Fractions; the non-integer convention makes the
-        multiple-cover sums below write naturally without case splits.
+        Accepts ints and Fractions, for callers that write the index as it
+        stands in the multiple-cover formula, square/(2*d^2) + 1: a
+        non-integer index names no class, so its term is zero.  The package's
+        own sums pass ints.
         """
         if type(d) is not int and isinstance(d, Fraction):  # ints skip the ABC check
             if d.denominator != 1:
