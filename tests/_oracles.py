@@ -2,8 +2,8 @@
 
 Everything here is written straight from the defining formulas with
 different algorithms from the package (polynomial products and the sigma_1
-convolution instead of the pentagonal power recurrence, trial division,
-literal window scans, Sylvester minors instead of congruence
+convolution instead of the power recurrence over Jacobi's cube, trial
+division, literal window scans, Sylvester minors instead of congruence
 diagonalization), so agreement is meaningful.
 """
 

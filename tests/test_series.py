@@ -1,5 +1,6 @@
 """Yau-Zaslow coefficient table: golden values, oracle, cap, stability."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,11 @@ ORACLE_G10 = 639249300
 ORACLE_G20 = 216108718571250
 ORACLE_G30 = 6668597583531616856
 
+# sha256 of ",".join(map(str, G_0..G_8192)), frozen from the earlier route,
+# Miller's recurrence over the pentagonal terms of prod (1-q^k) with exponent
+# -24; it pins every order the benchmark reads, past the sigma_1 oracle's 2000
+DIGEST_8192 = "1f4f2781fb7062ce7b095b4fe98bb60ebdb89dc3347e13e4946cb8c4cbfabd26"
+
 
 def test_golden_prefix():
     assert yz_coefficients(5) == GOLDEN_PREFIX
@@ -36,6 +42,35 @@ def test_matches_product_oracle():
 
 def test_matches_sigma_convolution():
     assert SeriesTable().coefficients(2000) == yz_by_sigma(2000)
+
+
+def test_frozen_digest_up_to_8192():
+    coeffs = SeriesTable().coefficients(8192)
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == DIGEST_8192
+
+
+def test_growth_in_small_steps_matches_one_call():
+    # the recurrence's terms sit at the triangular numbers T_j = j(j+1)/2, so
+    # step to every T_j and its neighbours: each step extends a nonempty
+    # prefix, and a term enters exactly at, just before or just after a step
+    triangular = [j * (j + 1) // 2 for j in range(1, 35)]
+    stops = sorted({t + e for t in triangular for e in (-1, 0, 1)} | {600})
+    table = SeriesTable()
+    for n in stops:
+        table.coefficients(n)
+        assert table.order == n
+    assert table.coefficients(600) == SeriesTable().coefficients(600)
+
+
+def test_corrupted_prefix_names_the_first_inexact_order():
+    # G_8 reads G_7 with weight 45 on this route, and 45 * 1 is not a
+    # multiple of 8; only the index is matched, since the remainder shown
+    # depends on the recurrence
+    table = SeriesTable()
+    table.coefficients(7)
+    table._coeffs[7] += 1
+    with pytest.raises(ConsistencyError, match=r"\bG_8$"):
+        table.coefficient(8)
 
 
 def test_inexact_division_raises_consistency_error():
