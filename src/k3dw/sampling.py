@@ -241,6 +241,10 @@ def kahler_in_chamber(
     a positive direction orthogonal to both rep and L is added to make
     square(kappa) positive (such a direction always exists: the positive
     3-space cannot intersect a corank-2 subspace trivially).
+
+    rng is not read: kappa is a pure function of gamma, the threshold and B.
+    The parameter stays because its callers pass it: the check suites, the
+    equivalence probe and the benchmark's workloads.
     """
     if boundary_pairing == 0:
         raise ValidationError("boundary pairing must be nonzero")
