@@ -21,12 +21,11 @@ bound (beta/m)^2 >= -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors
 from .errors import ValidationError
-from .lattice import Vector, content, square
+from .lattice import Vector, _Value, content, square
 from .series import SeriesTable, yz_coefficient
 
 
@@ -85,13 +84,15 @@ def two_divisible_check(beta: Vector, *, table: SeriesTable | None = None) -> Fr
     )
 
 
-@dataclass(frozen=True)
-class ClosedInvariant:
+class ClosedInvariant(_Value):
     """A (square, content) profile together with its invariant."""
 
-    beta_square: int
-    divisibility: int
-    value: Fraction
+    _fields = ("beta_square", "divisibility", "value")
+
+    def __init__(self, beta_square: int, divisibility: int, value: Fraction):
+        self.__dict__.update(
+            beta_square=beta_square, divisibility=divisibility, value=value
+        )
 
     @classmethod
     def of(cls, beta: Vector, *, table: SeriesTable | None = None) -> "ClosedInvariant":

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from numbers import Integral
+from operator import attrgetter
 
 from .arith import xgcd
 from .errors import ConsistencyError, LatticeError
@@ -175,6 +176,43 @@ class Vector:
 
     def content(self) -> int:
         return content(self)
+
+
+class _Value:
+    """Base of the frozen value classes (BoundaryClass, PeriodPoint, ...).
+
+    A subclass names its fields in _fields, in constructor order, and its
+    __init__ stores them in the instance dict.  Instances are equal only
+    within one class, by their fields; they hash and print as their fields,
+    and refuse assignment.  They keep a __dict__, so cached properties and
+    copy.copy work as on any object.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)  # a tuple for two or more fields
+        cls._key = get if len(cls._fields) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self.__class__._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def pair(u: Vector, v: Vector):

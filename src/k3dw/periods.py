@@ -26,7 +26,6 @@ phase tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     PeriodError,
     ValidationError,
 )
-from .lattice import Vector, pair, square
+from .lattice import Vector, _Value, pair, square
 from .relative import BoundaryClass, RelativeClass
 
 
@@ -47,16 +46,13 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Value):
     """A complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        self.__dict__.update(re=_as_fraction(re), im=_as_fraction(im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -93,19 +89,16 @@ class GaussianRational:
         return not self.is_zero
 
 
-@dataclass(frozen=True)
-class UnitAngle:
+class UnitAngle(_Value):
     """An exact point (c, s) on the rational unit circle."""
 
-    c: Fraction
-    s: Fraction
+    _fields = ("c", "s")
 
     def __init__(self, c, s):
         c, s = _as_fraction(c), _as_fraction(s)
         if c * c + s * s != 1:
             raise ValidationError(f"({c}, {s}) is not on the unit circle")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+        self.__dict__.update(c=c, s=s)
 
     @classmethod
     def from_parameter(cls, t) -> "UnitAngle":
@@ -122,13 +115,13 @@ class UnitAngle:
         return GaussianRational(self.c, self.s)
 
 
-@dataclass(frozen=True)
-class PeriodPoint:
+class PeriodPoint(_Value):
     """A rational period point Omega = re + i*im for a boundary class."""
 
-    re: Vector
-    im: Vector
-    boundary: BoundaryClass
+    _fields = ("re", "im", "boundary")
+
+    def __init__(self, re: Vector, im: Vector, boundary: BoundaryClass):
+        self.__dict__.update(re=re, im=im, boundary=boundary)
 
 
 def validate_period(s: PeriodPoint) -> PeriodPoint:

@@ -20,32 +20,29 @@ of D, and the lifting rows are ints, with no Vector per candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import LatticeError, ValidationError
 from .intlinalg import integer_kernel, rational_kernel_integer_basis
-from .lattice import Vector, _completion, content, pair, square
+from .lattice import Vector, _completion, _Value, content, pair, square
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(_Value):
     """A primitive class of square -2, the boundary curve class."""
 
-    L: Vector
+    _fields = ("L",)
 
-    def __post_init__(self):
-        if not self.L.is_integral:
+    def __init__(self, L: Vector):
+        if not L.is_integral:
             raise LatticeError("boundary class must be integral")
-        if square(self.L) != -2:
+        if square(L) != -2:
+            raise LatticeError(f"boundary class must have square -2, got {square(L)}")
+        if content(L) != 1:
             raise LatticeError(
-                f"boundary class must have square -2, got {square(self.L)}"
+                f"boundary class must be primitive, got content {content(L)}"
             )
-        if content(self.L) != 1:
-            raise LatticeError(
-                f"boundary class must be primitive, got content {content(self.L)}"
-            )
+        self.__dict__["L"] = L
 
 
 def _completion_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
@@ -54,8 +51,7 @@ def _completion_coords(v: Vector, boundary: BoundaryClass) -> tuple[int, ...]:
     return tuple(sum(r * c for r, c in zip(row, v.coords)) for row in urows)
 
 
-@dataclass(frozen=True, eq=False)
-class RelativeClass:
+class RelativeClass(_Value):
     """A class in the quotient lattice, carried by an explicit representative.
 
     Two instances are equal when they have the same boundary and their
@@ -63,12 +59,12 @@ class RelativeClass:
     are always counted from the instance's own representative.
     """
 
-    representative: Vector
-    boundary: BoundaryClass
+    _fields = ("representative", "boundary")
 
-    def __post_init__(self):
-        if not self.representative.is_integral:
+    def __init__(self, representative: Vector, boundary: BoundaryClass):
+        if not representative.is_integral:
             raise ValidationError("relative classes must have integral representatives")
+        self.__dict__.update(representative=representative, boundary=boundary)
 
     @cached_property  # reads only the frozen fields, so it never goes stale
     def completion_coords(self) -> tuple[int, ...]:

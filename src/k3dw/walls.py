@@ -54,7 +54,6 @@ sign and zero of every pairing.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
@@ -62,27 +61,35 @@ from math import lcm
 from .arith import divisors, mobius
 from .closed import scaled_gw_profile
 from .errors import ConsistencyError, OnWallError, ValidationError
-from .lattice import Vector, pair, square
+from .lattice import Vector, _Value, pair, square
 from .periods import validate_period
 from .relative import RelativeClass, _lifting_rows, relative_divisibility
 from .series import SeriesTable, default_table, yz_coefficient
 
 
-@dataclass(frozen=True)
-class KahlerVector:
+class KahlerVector(_Value):
     """A rational Kahler class kappa, kept as its coordinate vector."""
 
-    coords: Vector
+    _fields = ("coords",)
+
+    def __init__(self, coords: Vector):
+        self.__dict__["coords"] = coords
 
 
-@dataclass(frozen=True)
-class WallRecord:
+class WallRecord(_Value):
     """One valid hyperplane: the lifting, its L-pairing, and its invariant."""
 
-    k: int
-    lifting: Vector
-    pairing_with_L: int
-    closed_invariant: Fraction
+    _fields = ("k", "lifting", "pairing_with_L", "closed_invariant")
+
+    def __init__(
+        self, k: int, lifting: Vector, pairing_with_L: int, closed_invariant: Fraction
+    ):
+        self.__dict__.update(
+            k=k,
+            lifting=lifting,
+            pairing_with_L=pairing_with_L,
+            closed_invariant=closed_invariant,
+        )
 
 
 def _as_kahler(kappa) -> KahlerVector:

@@ -526,6 +526,26 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "0,1\n1,24\n2,324\n"
 
 
+def test_cli_import_loads_every_module_and_neither_dataclasses_nor_inspect():
+    # bench/child.py wraps the layers right after `import k3dw.cli`, so a
+    # module loaded later would lose its metrics; and start-up stays clear of
+    # dataclasses, which pulls in inspect, ast, dis and tokenize
+    src = PYPROJECT.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, k3dw.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    stems = [p.stem for p in (src / "k3dw").glob("*.py")]
+    assert len(stems) >= 14
+    modules = {"k3dw" if s == "__init__" else f"k3dw.{s}" for s in stems}
+    assert modules <= loaded, sorted(modules - loaded)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
