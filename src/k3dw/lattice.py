@@ -190,8 +190,7 @@ class _Value:
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         get = attrgetter(*cls._fields)  # a tuple for two or more fields
         cls._key = get if len(cls._fields) > 1 else lambda self: (get(self),)
 
